@@ -3,6 +3,20 @@ cross-correlation measurements by the linear sampling method, with the
 full 2D Helmholtz forward simulation needed to generate synthetic data.
 """
 
+
+def _apply_thread_cap() -> None:
+    """Honor LSM_THREADS by capping BLAS pools before numpy loads."""
+    import os
+
+    threads = os.environ.get("LSM_THREADS")
+    if not threads:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
+
+
+_apply_thread_cap()
+
 from .specfun import (
     DomainError,
     SingularityError,

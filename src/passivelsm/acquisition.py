@@ -22,6 +22,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.special
 
 from .forward import (
     PointScattererConfig,
@@ -34,7 +35,7 @@ from .forward import (
 )
 from .geometry import PointSet
 from .seeding import substream
-from .specfun import WaveContext, _j0y0
+from .specfun import WaveContext
 
 logger = logging.getLogger(__name__)
 
@@ -81,8 +82,7 @@ def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
     pts = receivers.points
     d = pts[:, None, :] - pts[None, :, :]
     r = np.sqrt((d ** 2).sum(-1))
-    j0, _ = _j0y0(ctx.k * r.ravel())
-    return 0.5j * j0.reshape(r.shape)
+    return 0.5j * scipy.special.j0(ctx.k * r)
 
 
 def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMatrix:

@@ -5,17 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-
-
-def _apply_thread_cap() -> None:
-    """Honor LSM_THREADS by capping BLAS pools before numpy loads."""
-    threads = os.environ.get("LSM_THREADS")
-    if not threads:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,7 +63,6 @@ def _load_config(args):
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

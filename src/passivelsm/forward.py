@@ -25,13 +25,12 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .geometry import DiscretizedBoundary, boundary_distance, contains_points
 from .specfun import (
-    EULER_GAMMA,
     MAX_ORDER,
     WaveContext,
-    _j0y0,
     bessel_jn,
     bessel_yn,
     green2d,
@@ -85,18 +84,6 @@ def kress_log_weights(n: int) -> np.ndarray:
     return R
 
 
-def _h0(x):
-    j, y = _j0y0(np.asarray(x, dtype=float))
-    return j + 1j * y
-
-
-def _pairwise_green(k: float, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """phi(a_i, b_j) without coincidence checks (callers exclude them)."""
-    d = pts_a[:, None, :] - pts_b[None, :, :]
-    r = np.sqrt((d ** 2).sum(-1))
-    return 0.25j * _h0(k * r)
-
-
 def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
     """Kress-quadrature Nystrom block of one boundary, acting on charges."""
     n = bnd.n
@@ -106,7 +93,9 @@ def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
     off = ~np.eye(n, dtype=bool)
     j0 = np.ones((n, n))
     y0 = np.zeros((n, n))
-    j0[off], y0[off] = _j0y0(k * r[off])
+    kr = k * r[off]
+    j0[off] = scipy.special.j0(kr)
+    y0[off] = scipy.special.y0(kr)
     # phi = phi_1 * ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth factors
     phi1 = -(1.0 / (4.0 * np.pi)) * j0
     dt = bnd.t[:, None] - bnd.t[None, :]
@@ -115,7 +104,7 @@ def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
     phi = 0.25j * (j0 + 1j * y0)
     phi2 = np.where(off, phi - phi1 * log_factor, 0.0)
     np.fill_diagonal(
-        phi2, 0.25j - (EULER_GAMMA + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
+        phi2, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
     )
     R = kress_log_weights(n)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
@@ -181,7 +170,7 @@ def assemble_single_layer(
         matrix[sa, sa] = _self_block(ba, ctx)
         for b in range(a + 1, len(boundaries)):
             sb = slice(offs[b], offs[b + 1])
-            block = _pairwise_green(ctx.k, ba.nodes, boundaries[b].nodes)
+            block = green2d(ctx, ba.nodes[:, None, :], boundaries[b].nodes[None, :, :])
             matrix[sa, sb] = block
             matrix[sb, sa] = block.T
     if ntot:
@@ -234,7 +223,7 @@ def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     require_exterior(system, system.ctx, src, what="source")
     if system.size == 0:
         return np.zeros((0, len(src)), dtype=complex)
-    rhs = -_pairwise_green(system.ctx.k, system.nodes, src)
+    rhs = -green2d(system.ctx, system.nodes[:, None, :], src[None, :, :])
     return scipy.linalg.lu_solve(system.lu, rhs)
 
 
@@ -349,7 +338,7 @@ def scattered_matrix(
     out = np.empty((len(pts), cols.shape[1]), dtype=complex)
     far = ~near
     if far.any():
-        g = _pairwise_green(system.ctx.k, pts[far], system.nodes)
+        g = green2d(system.ctx, pts[far][:, None, :], system.nodes[None, :, :])
         out[far] = g @ cols
     for i in np.where(near)[0]:
         for s in range(cols.shape[1]):
@@ -461,8 +450,9 @@ class PointScattererConfig:
         object.__setattr__(self, "radii", r)
 
     def reflection_coefficients(self, ctx: WaveContext) -> np.ndarray:
-        """lambda_l = 4i / H_0^(1)(k r_l), recomputed from (k, r_l)."""
-        return 4j / _h0(ctx.k * self.radii)
+        """lambda_l = 4i / H_0^(1)(k r_l) = -1 / phi at distance r_l, from (k, r_l)."""
+        rim = np.stack([self.radii, np.zeros_like(self.radii)], axis=-1)
+        return -1.0 / green2d(ctx, rim, np.zeros(2))
 
 
 def point_scatterer_scattered(

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .acquisition import FieldMatrix
+from .acquisition import FieldMatrix, _fmt
 from .geometry import PointSet
 from .specfun import SINGULARITY_FACTOR, WaveContext, green2d
 
@@ -310,10 +310,6 @@ def indicator_map(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_indicator_csv(imap: IndicatorMap, path) -> None:
     """Full per-point table: x, y, raw ||g||, normalized reciprocal, mask."""
     xs, ys = imap.grid.axes()

@@ -1,45 +1,25 @@
 """Bessel and Hankel functions plus the 2D Helmholtz Green's function.
 
 Everything downstream (boundary integral kernels, the Mie series, the
-probing right-hand sides) reduces to cylinder functions of integer order,
-so this module provides them self-contained with a uniform accuracy
-target of 1e-10 absolute on the supported domain (orders 0..60,
-arguments in (0, 1e4]).
+probing right-hand sides) reduces to cylinder functions of integer order
+on the supported domain: orders 0..60, arguments in (0, 1e4].
 
-Evaluation scheme
------------------
-    J_n, Y_n, n <= 1 : ascending series for x <= 12, Hankel's
-                       large-argument expansion for x > 12.
-    J_n, n >= 2      : ascending series for x <= 12 (no damaging
-                       cancellation at these orders); forward recurrence
-                       for x >= n; Miller's downward recurrence with
-                       rescaling otherwise (x in the (12, n) gap, where
-                       forward recurrence is unstable).
-    Y_n, n >= 2      : forward recurrence, which is stable because Y_n
-                       is the dominant solution.
-
-All kernels are vectorized over numpy arrays; the scalar API functions
-validate their domain and delegate to the array kernels.
+J_0/Y_0 come from scipy.special.j0/y0 and higher orders from jv/yv;
+scipy.special.hankel1 (AMOS) is not used because it is slower than j0 + y0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
+import scipy.special
 
 MAX_ORDER = 60
 MAX_ARGUMENT = 1.0e4
-SERIES_CUTOFF = 12.0
 
 # Relative distance below which two points count as coincident.
 SINGULARITY_FACTOR = 1e-14
-
-_RESCALE = 1e250
-_LOG_RESCALE = np.log(_RESCALE)
 
 
 class DomainError(ValueError):
@@ -71,272 +51,24 @@ class WaveContext:
         return cls(k=2.0 * np.pi / wavelength)
 
 
-# ---------------------------------------------------------------------------
-# Order 0/1 kernels
-# ---------------------------------------------------------------------------
-def _j0y0_series(x):
-    """J_0 and Y_0 by ascending series; valid for 0 <= x <= SERIES_CUTOFF.
-
-    Y_0 uses the standard log form
-        Y_0 = (2/pi) [ (ln(x/2)+gamma) J_0 + sum_{m>=1} (-1)^{m+1} H_m z^m/(m!)^2 ],
-    z = x^2/4, H_m the harmonic numbers.
-    """
-    z = 0.25 * x * x
-    term = np.ones_like(x)
-    j0 = np.ones_like(x)
-    s = np.zeros_like(x)
-    h = 0.0
-    for m in range(1, 41):
-        term = -term * z / (m * m)
-        j0 = j0 + term
-        h += 1.0 / m
-        s = s - h * term
-    with np.errstate(divide="ignore"):
-        y0 = (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0 + s)
-    return j0, y0
+def _j(n: int, x):
+    return scipy.special.j0(x) if n == 0 else scipy.special.jv(n, x)
 
 
-def _j1y1_series(x):
-    """J_1 and Y_1 by ascending series; valid for 0 < x <= SERIES_CUTOFF."""
-    z = 0.25 * x * x
-    t = np.ones_like(x)
-    jsum = np.ones_like(x)
-    ssum = np.ones_like(x)  # m = 0 carries H_0 + H_1 = 1
-    hm, hm1 = 0.0, 1.0
-    for m in range(1, 41):
-        t = -t * z / (m * (m + 1))
-        jsum = jsum + t
-        hm += 1.0 / m
-        hm1 += 1.0 / (m + 1)
-        ssum = ssum + (hm + hm1) * t
-    j1 = 0.5 * x * jsum
-    with np.errstate(divide="ignore"):
-        y1 = (
-            (2.0 / np.pi) * (np.log(0.5 * x) + EULER_GAMMA) * j1
-            - 2.0 / (np.pi * x)
-            - (x / (2.0 * np.pi)) * ssum
-        )
-    return j1, y1
+def _y(n: int, x):
+    return scipy.special.y0(x) if n == 0 else scipy.special.yv(n, x)
 
 
-def _hankel_expansion_coefficients(nu: int, count: int):
-    """a_k(nu) of the large-argument expansion, k = 0..count-1."""
-    mu = 4.0 * nu * nu
-    a = [1.0]
-    for k in range(1, count):
-        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
-    return a
-
-
-_ASYM_TERMS = 13
-
-
-def _pq_coefficients(nu: int):
-    a = _hankel_expansion_coefficients(nu, 2 * _ASYM_TERMS + 1)
-    p = np.array([(-1.0) ** m * a[2 * m] for m in range(_ASYM_TERMS)])
-    q = np.array([(-1.0) ** m * a[2 * m + 1] for m in range(_ASYM_TERMS)])
-    return p, q
-
-
-_P0, _Q0 = _pq_coefficients(0)
-_P1, _Q1 = _pq_coefficients(1)
-
-
-def _jy_asymptotic(x, nu: int):
-    """J_nu and Y_nu by the Hankel expansion; nu in {0, 1}, x > SERIES_CUTOFF.
-
-    Truncation keeps 13 terms of each of the P and Q series; the first
-    omitted term at x = 12 is below 1e-11, and shrinks rapidly with x.
-    """
-    p, q = (_P0, _Q0) if nu == 0 else (_P1, _Q1)
-    u = 1.0 / (x * x)
-    P = np.full_like(x, p[-1])
-    Q = np.full_like(x, q[-1])
-    for m in range(_ASYM_TERMS - 2, -1, -1):
-        P = P * u + p[m]
-        Q = Q * u + q[m]
-    Q = Q / x
-    chi = x - (0.5 * nu + 0.25) * np.pi
-    amp = np.sqrt(2.0 / (np.pi * x))
-    c, s = np.cos(chi), np.sin(chi)
-    return amp * (P * c - Q * s), amp * (P * s + Q * c)
-
-
-def _j0y0(x):
-    x = np.asarray(x, dtype=float)
-    out_j = np.empty_like(x)
-    out_y = np.empty_like(x)
-    lo = x <= SERIES_CUTOFF
-    if lo.any():
-        j, y = _j0y0_series(x[lo])
-        out_j[lo] = j
-        out_y[lo] = y
-    hi = ~lo
-    if hi.any():
-        j, y = _jy_asymptotic(x[hi], 0)
-        out_j[hi] = j
-        out_y[hi] = y
-    return out_j, out_y
-
-
-def _j1y1(x):
-    x = np.asarray(x, dtype=float)
-    out_j = np.empty_like(x)
-    out_y = np.empty_like(x)
-    lo = x <= SERIES_CUTOFF
-    if lo.any():
-        j, y = _j1y1_series(x[lo])
-        out_j[lo] = j
-        out_y[lo] = y
-    hi = ~lo
-    if hi.any():
-        j, y = _jy_asymptotic(x[hi], 1)
-        out_j[hi] = j
-        out_y[hi] = y
-    return out_j, out_y
-
-
-def _j0(x):
-    return _j0y0(x)[0]
-
-
-# ---------------------------------------------------------------------------
-# General orders
-# ---------------------------------------------------------------------------
-def _jn_series(n: int, x):
-    """Ascending series for J_n, n >= 2, x <= SERIES_CUTOFF.
-
-    The leading (x/2)^n / n! is formed in logs so high orders at tiny
-    arguments underflow gracefully to zero instead of overflowing the
-    power.
-    """
-    z = 0.25 * x * x
-    with np.errstate(under="ignore", divide="ignore"):
-        log_lead = n * np.log(np.maximum(0.5 * x, 1e-308)) - math.lgamma(n + 1.0)
-        t = np.exp(log_lead)
-        s = t.copy()
-        for m in range(1, 45):
-            t = -t * z / (m * (n + m))
-            s = s + t
-    return s
-
-
-def _jn_all_small(nmax: int, x):
-    """All orders 0..nmax by series; x <= SERIES_CUTOFF."""
-    out = np.empty((nmax + 1, x.size))
-    j0, _ = _j0y0(x)
-    out[0] = j0
-    if nmax >= 1:
-        j1, _ = _j1y1(x)
-        out[1] = j1
-    for n in range(2, nmax + 1):
-        out[n] = _jn_series(n, x)
+def _h(j, y):
+    """J + iY, built componentwise so an overflowed Y = -inf keeps Re = J."""
+    out = np.empty(np.shape(j), dtype=complex)
+    out.real = j
+    out.imag = y
     return out
 
 
-def _jn_all_large(nmax: int, x, j0, j1):
-    """All orders 0..nmax for x > SERIES_CUTOFF (forward or Miller)."""
-    out = np.empty((nmax + 1, x.size))
-    out[0] = j0
-    if nmax >= 1:
-        out[1] = j1
-    if nmax < 2:
-        return out
-    fwd = x >= nmax
-    if fwd.any():
-        xa = x[fwd]
-        cols = np.where(fwd)[0]
-        jm1 = j0[fwd].copy()
-        jm = j1[fwd].copy()
-        for m in range(1, nmax):
-            jp = (2.0 * m / xa) * jm - jm1
-            out[m + 1, cols] = jp
-            jm1, jm = jm, jp
-    back = ~fwd
-    if back.any():
-        xa = x[back]
-        cols = np.where(back)[0]
-        vals = _miller_downward(nmax, xa, j0[back], j1[back])
-        out[:, cols] = vals
-    return out
-
-
-def _miller_downward(nmax: int, x, j0, j1):
-    """Miller's algorithm for J_0..J_nmax, used where x < nmax.
-
-    The trial solution is started at order nmax + ceil(sqrt(40 nmax)) and
-    recursed downward, rescaling by 1e250 as needed; the result is fixed
-    against whichever of the J_0/J_1 kernels is larger in magnitude
-    (their zeros never coincide).  The normalization is applied in log
-    space so intermediate rescale bookkeeping cannot overflow.
-    """
-    nc = x.size
-    start = nmax + int(np.ceil(np.sqrt(40.0 * nmax))) + 2
-    cur = np.full(nc, 1e-30)
-    prev = np.zeros(nc)
-    count = np.zeros(nc)
-    store = np.zeros((nmax + 1, nc))
-    scount = np.zeros((nmax + 1, nc))
-    for m in range(start, 0, -1):
-        nxt = (2.0 * m / x) * cur - prev
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE
-        if big.any():
-            cur[big] /= _RESCALE
-            prev[big] /= _RESCALE
-            count[big] += 1.0
-        if m - 1 <= nmax:
-            store[m - 1] = cur
-            scount[m - 1] = count
-    use0 = np.abs(j0) >= np.abs(j1)
-    ref_kernel = np.where(use0, j0, j1)
-    ref_trial = np.where(use0, store[0], store[1])
-    ref_count = np.where(use0, scount[0], scount[1])
-    with np.errstate(divide="ignore"):
-        log_scale = np.log(np.abs(ref_kernel)) - np.log(np.abs(ref_trial))
-    sign_scale = np.sign(ref_kernel) * np.sign(ref_trial)
-    out = np.zeros((nmax + 1, nc))
-    with np.errstate(divide="ignore", under="ignore"):
-        for n in range(nmax + 1):
-            logv = (
-                np.log(np.abs(store[n]))
-                + log_scale
-                + (scount[n] - ref_count) * _LOG_RESCALE
-            )
-            out[n] = np.where(
-                store[n] == 0.0, 0.0, np.sign(store[n]) * sign_scale * np.exp(logv)
-            )
-    return out
-
-
-def _jn_all(nmax: int, x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    lo = x <= SERIES_CUTOFF
-    if lo.any():
-        out[:, lo] = _jn_all_small(nmax, x[lo])
-    hi = ~lo
-    if hi.any():
-        j0, _ = _j0y0(x[hi])
-        j1, _ = _j1y1(x[hi])
-        out[:, hi] = _jn_all_large(nmax, x[hi], j0, j1)
-    return out
-
-
-def _yn_all(nmax: int, x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    _, y0 = _j0y0(x)
-    out[0] = y0
-    if nmax >= 1:
-        _, y1 = _j1y1(x)
-        out[1] = y1
-    # Upward recurrence is stable (Y_n dominates); extreme corners such as
-    # (n=60, x<1e-4) exceed double range and come back as -inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, nmax):
-            out[m + 1] = (2.0 * m / x) * out[m] - out[m - 1]
-    return out
+def _all_orders(kernel, nmax: int, x) -> np.ndarray:
+    return np.array([kernel(n, x) for n in range(nmax + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -360,63 +92,44 @@ def bessel_j(n: int, x):
     array; absolute accuracy 1e-10 or better on that domain.
     """
     arr = _validate(n, x)
-    flat = arr.ravel()
-    if n == 0:
-        vals = _j0y0(flat)[0]
-    elif n == 1:
-        vals = _j1y1(flat)[0]
-    else:
-        vals = _jn_all(n, flat)[n]
-    vals = vals.reshape(arr.shape)
-    return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
+    vals = _j(n, arr)
+    return float(vals) if arr.ndim == 0 else vals
 
 
 def bessel_y(n: int, x):
-    """Bessel function of the second kind Y_n(x); domain as bessel_j."""
+    """Bessel function of the second kind Y_n(x); domain as bessel_j.
+
+    Values beyond double range, such as Y_60(1e-4), are -inf.
+    """
     arr = _validate(n, x)
-    flat = arr.ravel()
-    if n == 0:
-        vals = _j0y0(flat)[1]
-    elif n == 1:
-        vals = _j1y1(flat)[1]
-    else:
-        vals = _yn_all(n, flat)[n]
-    vals = vals.reshape(arr.shape)
-    return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
+    vals = _y(n, arr)
+    return float(vals) if arr.ndim == 0 else vals
 
 
 def hankel1(n: int, x):
     """Hankel function of the first kind, H_n^(1) = J_n + i Y_n."""
     arr = _validate(n, x)
-    flat = arr.ravel()
-    if n == 0:
-        j, y = _j0y0(flat)
-    elif n == 1:
-        j, y = _j1y1(flat)
-    else:
-        j = _jn_all(n, flat)[n]
-        y = _yn_all(n, flat)[n]
-    vals = (j + 1j * y).reshape(arr.shape)
-    return complex(vals) if np.isscalar(x) or arr.ndim == 0 else vals
+    vals = _h(_j(n, arr), _y(n, arr))
+    return complex(vals) if arr.ndim == 0 else vals
 
 
 def bessel_jn(nmax: int, x) -> np.ndarray:
     """J_0(x)..J_nmax(x) stacked along the first axis (x flattened)."""
     arr = _validate(nmax, x)
-    return _jn_all(nmax, arr.ravel())
+    return _all_orders(_j, nmax, arr.ravel())
 
 
 def bessel_yn(nmax: int, x) -> np.ndarray:
     """Y_0(x)..Y_nmax(x) stacked along the first axis (x flattened)."""
     arr = _validate(nmax, x)
-    return _yn_all(nmax, arr.ravel())
+    return _all_orders(_y, nmax, arr.ravel())
 
 
 def hankel1_all(nmax: int, x) -> np.ndarray:
     """H_0^(1)(x)..H_nmax^(1)(x) stacked along the first axis."""
     arr = _validate(nmax, x)
     flat = arr.ravel()
-    return _jn_all(nmax, flat) + 1j * _yn_all(nmax, flat)
+    return _h(_all_orders(_j, nmax, flat), _all_orders(_y, nmax, flat))
 
 
 def green2d(ctx: WaveContext, x, y):
@@ -436,8 +149,6 @@ def green2d(ctx: WaveContext, x, y):
     r = np.sqrt(np.sum(diff * diff, axis=-1))
     if np.any(r < SINGULARITY_FACTOR * ctx.wavelength):
         raise SingularityError("green2d evaluated at a source point")
-    scalar = np.ndim(r) == 0
-    rr = np.atleast_1d(r)
-    j, yv = _j0y0(ctx.k * rr.ravel())
-    vals = 0.25j * (j + 1j * yv)
-    return complex(vals[0]) if scalar else vals.reshape(r.shape)
+    kr = ctx.k * r
+    vals = 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))
+    return complex(vals) if np.ndim(r) == 0 else vals

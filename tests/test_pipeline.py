@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +251,21 @@ class TestCli:
         assert report["results"][0]["cid"] == 1
         out = capsys.readouterr().out
         assert "criterion  1" in out
+
+    def test_thread_cap_applies_before_numpy_loads(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        env["LSM_THREADS"] = "1"
+        code = "import os, passivelsm.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "1"
+        # an explicit pool size still wins over the cap
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "2"
 
     def test_validate_unknown_suite(self, capsys):
         assert cli.main(["validate", "--suite", "nope"]) == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from passivelsm.specfun import (
     bessel_yn,
     green2d,
     hankel1,
+    hankel1_all,
 )
 
 from oracles import green2d_series, j0_series, jn_series, y0_series
@@ -126,6 +128,17 @@ class TestDomain:
             bessel_j(61, 1.0)
         with pytest.raises(DomainError):
             bessel_y(2.5, 1.0)
+
+    def test_overflow_corner_is_infinite_not_nan(self):
+        # Y_60(1e-4) exceeds double range; J_60(1e-5) underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_y(60, 1e-4) == -np.inf
+            assert not np.isnan(bessel_yn(60, [1e-4])).any()
+            assert bessel_jn(60, [1e-5])[60, 0] == 0.0
+            h = hankel1_all(60, [1e-4])[:, 0]
+            assert not np.isnan(h).any()
+            assert hankel1(60, 1e-4) == complex(bessel_j(60, 1e-4), -np.inf)
 
     def test_rejects_bad_argument(self):
         with pytest.raises(DomainError):
