@@ -27,7 +27,6 @@ import scipy.special
 from .forward import (
     PointScattererConfig,
     SingleLayerSystem,
-    point_scatterer_scattered,
     require_exterior,
     scattered_matrix,
     solve_charges,
@@ -35,7 +34,7 @@ from .forward import (
 )
 from .geometry import PointSet
 from .seeding import substream
-from .specfun import WaveContext
+from .specfun import WaveContext, green2d
 
 logger = logging.getLogger(__name__)
 
@@ -93,11 +92,7 @@ def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMa
     """
     pts = receivers.points
     require_exterior(system, system.ctx, pts, what="receiver")
-    if system.size == 0:
-        entries = np.zeros((len(pts), len(pts)), dtype=complex)
-    else:
-        charges = solve_charges(system, pts)
-        entries = scattered_matrix(system, charges, pts)
+    entries = scattered_matrix(system, solve_charges(system, pts), pts)
     prov = {
         "k": system.ctx.k,
         "sources": "co-located",
@@ -208,10 +203,9 @@ def point_scatterer_near_field(
     receivers: PointSet, config: PointScattererConfig, ctx: WaveContext
 ) -> FieldMatrix:
     """Near-field matrix of the small-obstacle asymptotic model."""
-    pts = receivers.points
-    entries = np.empty((len(pts), len(pts)), dtype=complex)
-    for m in range(len(pts)):
-        entries[:, m] = point_scatterer_scattered(config, ctx, pts, pts[m])
+    # sum_l phi(x_j, c_l) lambda_l phi(c_l, x_m), as point_scatterer_scattered
+    phi = green2d(ctx, receivers.points[:, None, :], config.centers[None, :, :])
+    entries = (phi * config.reflection_coefficients(ctx)) @ phi.T
     prov = {
         "k": ctx.k,
         "sources": "co-located",
@@ -259,6 +253,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_csv(path, columns, header: str, fmt="%.17g") -> None:
+    """CSV of the flattened (row-major) columns side by side, under header."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
+                   delimiter=",", header=header, comments="")
+
+
 def write_matrix_csv(matrix: FieldMatrix, path) -> None:
     """Row-major CSV, one `re,im` line per entry, provenance in the header."""
     p = matrix.provenance
@@ -269,11 +270,7 @@ def write_matrix_csv(matrix: FieldMatrix, path) -> None:
         f"noise_amplitude={_fmt(p.get('noise_amplitude', 0.0))},"
         f"L={p.get('L', '')},beta={p.get('beta', '')},M={p.get('M', '')}"
     )
-    lines = [header]
-    flat = matrix.entries.ravel()
-    lines.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in flat)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, (matrix.entries.real, matrix.entries.imag), header)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:

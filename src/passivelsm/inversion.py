@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .acquisition import FieldMatrix, _fmt
+from .acquisition import FieldMatrix, _write_csv
 from .geometry import PointSet
 from .specfun import SINGULARITY_FACTOR, WaveContext, green2d
 
@@ -74,8 +74,7 @@ def svd(matrix) -> SvdFactors:
 
 def rhs_vector(receivers: PointSet, z, ctx: WaveContext) -> np.ndarray:
     """(phi_z)_j = phi(x_j, z); singular if z coincides with a receiver."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    return green2d(ctx, receivers.points, z)
+    return rhs_vectors(receivers, z, ctx)[:, 0]
 
 
 def rhs_vectors(receivers: PointSet, zs, ctx: WaveContext) -> np.ndarray:
@@ -142,22 +141,27 @@ def morozov_alpha(factors: SvdFactors, b: np.ndarray, delta: float) -> float:
     return float(alpha[0])
 
 
+def _tikhonov_norms(sigma: np.ndarray, b2: np.ndarray, alpha: np.ndarray):
+    """(||g||, residual) per column of b2 = |U* phi|^2, column c at alpha[c].
+
+    In the SVD basis the filter sigma/(alpha + sigma^2) gives the
+    coefficients of g, and alpha/(alpha + sigma^2) those of the residual.
+    """
+    denom = alpha[None, :] + (sigma ** 2)[:, None]
+    g_norm = np.sqrt((((sigma[:, None] / denom) ** 2) * b2).sum(axis=0))
+    residual = np.sqrt((((alpha[None, :] / denom) ** 2) * b2).sum(axis=0))
+    return g_norm, residual
+
+
 def tikhonov_gnorm(
     factors: SvdFactors, phi_z: np.ndarray, alpha: float
 ) -> tuple[float, float]:
-    """(||g||, residual) of the Tikhonov solution at parameter alpha.
-
-    Computed in the SVD basis: the filter sigma/(alpha + sigma^2) gives
-    the coefficients of g, and alpha/(alpha + sigma^2) those of the
-    residual.
-    """
+    """(||g||, residual) of the Tikhonov solution at parameter alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    b = factors.u.conj().T @ np.asarray(phi_z)
-    s = factors.sigma
-    g_norm = float(np.linalg.norm(s / (alpha + s ** 2) * b))
-    residual = float(np.linalg.norm(alpha / (alpha + s ** 2) * b))
-    return g_norm, residual
+    b2 = np.abs(factors.u.conj().T @ np.asarray(phi_z)) ** 2
+    g_norm, residual = _tikhonov_norms(factors.sigma, b2[:, None], np.array([alpha]))
+    return float(g_norm[0]), float(residual[0])
 
 
 def tikhonov_solve(factors: SvdFactors, phi_z: np.ndarray, alpha: float) -> np.ndarray:
@@ -280,8 +284,7 @@ def indicator_map(
         b = factors.u.conj().T @ phi
         b2 = np.abs(b) ** 2
         alpha, solvable = _morozov_bisect_many(factors.sigma, b2, delta)
-        filt = factors.sigma[:, None] / (alpha[None, :] + (factors.sigma ** 2)[:, None])
-        g_norm = np.sqrt(((filt ** 2) * b2).sum(axis=0))
+        g_norm, _ = _tikhonov_norms(factors.sigma, b2, alpha)
         g_norm[~solvable] = 0.0
         values[probe] = g_norm
         ok[probe] = solvable
@@ -312,30 +315,16 @@ def indicator_map(
 # ---------------------------------------------------------------------------
 def write_indicator_csv(imap: IndicatorMap, path) -> None:
     """Full per-point table: x, y, raw ||g||, normalized reciprocal, mask."""
-    xs, ys = imap.grid.axes()
-    lines = ["x,y,raw,reciprocal,mask"]
-    for iy in range(imap.grid.ny):
-        for ix in range(imap.grid.nx):
-            lines.append(
-                f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(imap.values[ix, iy])},"
-                f"{_fmt(imap.reciprocal[ix, iy])},{int(imap.mask[ix, iy])}"
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    xx, yy = np.meshgrid(*imap.grid.axes())
+    _write_csv(path, (xx, yy, imap.values.T, imap.reciprocal.T, imap.mask.T),
+               "x,y,raw,reciprocal,mask", fmt=["%.17g"] * 4 + ["%d"])
 
 
 def write_indicator_raw_csv(imap: IndicatorMap, path) -> None:
     """Raw ||g|| field only: x, y, value, mask."""
-    xs, ys = imap.grid.axes()
-    lines = ["x,y,value,mask"]
-    for iy in range(imap.grid.ny):
-        for ix in range(imap.grid.nx):
-            lines.append(
-                f"{_fmt(xs[ix])},{_fmt(ys[iy])},{_fmt(imap.values[ix, iy])},"
-                f"{int(imap.mask[ix, iy])}"
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    xx, yy = np.meshgrid(*imap.grid.axes())
+    _write_csv(path, (xx, yy, imap.values.T, imap.mask.T), "x,y,value,mask",
+               fmt=["%.17g"] * 3 + ["%d"])
 
 
 def write_indicator_pgm(imap: IndicatorMap, path) -> None:

@@ -388,7 +388,6 @@ def _sigma_length(cfg: ExperimentConfig) -> float:
 def execute(config: ExperimentConfig) -> RunArtifacts:
     """Run geometry -> acquisition -> noise -> inversion in memory."""
     cfg = config
-    ctx = cfg.ctx
     timings: dict = {}
     needs_sources = cfg.matrix_kind in (
         acquisition.CROSS_CORRELATION, acquisition.COVARIANCE
@@ -396,6 +395,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
 
     t0 = time.perf_counter()
     try:
+        ctx = cfg.ctx
         receivers = geometry.circle_points(
             cfg.receiver_radius, cfg.receiver_count, beta=0.0,
             arc=cfg.receiver_arc, role=geometry.ROLE_RECEIVER,
@@ -491,6 +491,10 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
         )
     except Exception as exc:
         raise PipelineError("invert", str(exc)) from exc
+    if not indicator.mask.any():
+        raise PipelineError("invert", (
+            f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
+            f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
     timings["invert"] = time.perf_counter() - t0
 
     return RunArtifacts(

@@ -12,6 +12,7 @@ from passivelsm.acquisition import (
     imaginary_bracket,
     imaginary_near_field_matrix,
     near_field_matrix,
+    point_scatterer_near_field,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -63,6 +64,21 @@ class TestNearField:
         assert nf.kind == NEAR_FIELD
         assert nf.entries.shape == (receivers.count, receivers.count)
         assert nf.delta == 0.0
+
+
+class TestPointScattererNearField:
+    def test_matches_columnwise_born_field_and_is_symmetric(self, ctx, receivers):
+        config = forward.PointScattererConfig(
+            centers=[[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], radii=[0.01, 0.02, 0.01]
+        )
+        e = point_scatterer_near_field(receivers, config, ctx).entries
+        pts = receivers.points
+        ref = np.column_stack([
+            forward.point_scatterer_scattered(config, ctx, pts, pts[m])
+            for m in range(len(pts))
+        ])
+        assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(e - e.T).max() <= 1e-13 * np.abs(e).max()
 
 
 class TestImaginaryNearField:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,42 @@ class TestEvaluation:
                 assert mat[i, s] == pytest.approx(
                     evaluate_scattered(sol, p), rel=1e-12
                 )
+
+
+class TestNearBoundaryBatch:
+    RADIUS = 0.25
+    SOURCES = np.array([[5.0, 0.0], [0.0, -4.0], [-3.0, 3.0]])
+
+    def ring(self, system, spacings):
+        r = self.RADIUS + spacings * system.boundaries[0].max_spacing
+        theta = 2 * np.pi * np.arange(7) / 7 + 0.1
+        return r * np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def mie(self, ctx, pts):
+        return np.column_stack([
+            mie_scattered_circle(ctx, self.RADIUS, (0.0, 0.0), pts, y)
+            for y in self.SOURCES
+        ])
+
+    def test_many_sources_match_mie(self, circle_system, ctx):
+        # 1..4 node spacings from the boundary, three source columns at
+        # once; the rings inside 3 spacings take the upsampled near path
+        charges = solve_charges(circle_system, self.SOURCES)
+        pts = np.vstack([self.ring(circle_system, f) for f in (1.0, 2.0, 3.0, 4.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", forward.AccuracyWarning)
+            us = scattered_matrix(circle_system, charges, pts)
+        ref = self.mie(ctx, pts)
+        assert np.abs(us - ref).max() < 1e-6 * np.abs(ref).min()
+
+    def test_closest_ring_warns_once_and_matches_mie(self, circle_system, ctx):
+        charges = solve_charges(circle_system, self.SOURCES)
+        pts = self.ring(circle_system, 0.5)
+        with pytest.warns(forward.AccuracyWarning) as record:
+            us = scattered_matrix(circle_system, charges, pts)
+        assert len(record) == 1  # one per call and boundary, not per entry
+        ref = self.mie(ctx, pts)
+        assert np.abs(us - ref).max() < 1e-6 * np.abs(ref).min()
 
 
 class TestMie:

@@ -121,6 +121,17 @@ class TestExecute:
             pipeline.execute(cfg)
         assert err.value.stage == "geometry"
 
+    def test_bad_wavenumber_fails_in_geometry_stage(self):
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(tiny_config(k=-1.0))
+        assert err.value.stage == "geometry"
+
+    @pytest.mark.parametrize("overrides", [{"grid_nx": 0}, {"mask_radius": 0.0}])
+    def test_grid_without_probed_point_fails_in_invert_stage(self, overrides):
+        with pytest.raises(PipelineError, match="no grid point was probed") as err:
+            pipeline.execute(tiny_config(**overrides))
+        assert err.value.stage == "invert"
+
     def test_zero_noise_fails_in_invert_stage(self):
         cfg = tiny_config(noise_amplitude=0.0)
         with pytest.raises(PipelineError) as err:
