@@ -42,21 +42,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _preset(name):
+    from . import pipeline
+
+    try:
+        return pipeline.preset(name)
+    except ValueError as exc:
+        raise pipeline.PipelineError("config", str(exc)) from exc
+
+
 def _load_config(args):
     from . import pipeline
 
     if args.config:
-        with open(args.config) as fh:
-            cfg = pipeline.ExperimentConfig.from_ini(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise pipeline.PipelineError("config", f"cannot read {args.config}: {exc}") from exc
     elif args.preset:
-        cfg = pipeline.preset(args.preset)
+        text = _preset(args.preset).to_ini()
     else:
         raise SystemExit("run requires --preset or --config")
+    overrides = []
     for item in args.overrides:
-        key, _, value = item.partition("=")
-        if not _ or not key.strip():
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip():
             raise SystemExit(f"malformed --set {item!r}; expected SECTION.KEY=VALUE")
-        cfg.apply_override(key.strip(), value.strip())
+        overrides.append((key.strip(), value.strip()))
+    cfg = pipeline.ExperimentConfig.from_ini(text, overrides)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg
@@ -68,18 +82,6 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-
-    if args.command == "run":
-        from . import pipeline
-
-        cfg = _load_config(args)
-        try:
-            manifest = pipeline.run(cfg, args.out)
-        except pipeline.PipelineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out} (delta={manifest.delta:.6e})")
-        return 0
 
     if args.command == "validate":
         from . import validate
@@ -101,13 +103,18 @@ def main(argv=None) -> int:
             print(text)
         return 0
 
-    if args.command == "info":
-        from . import pipeline
+    from . import pipeline
 
-        print(pipeline.preset(args.preset).to_ini(), end="")
-        return 0
-
-    return 2
+    try:
+        if args.command == "run":
+            manifest = pipeline.run(_load_config(args), args.out)
+            print(f"wrote {args.out} (delta={manifest.delta:.6e})")
+        else:
+            print(_preset(args.preset).to_ini(), end="")
+    except pipeline.PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

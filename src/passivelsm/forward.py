@@ -282,7 +282,8 @@ def scattered_matrix(
     boundary for all points beyond three node spacings of it.  Nearer
     points use the charges trigonometrically upsampled 2x and 4x (one
     product each) and keep the 4x value; one AccuracyWarning per boundary
-    reports entries where the two still disagree beyond 1e-6 (relative).
+    reports entries whose 2x and 4x upsampled values differ by more than
+    1e-6 relative (a bound on the 2x error; the 4x value is returned).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x = pts[:, None, :]
@@ -310,9 +311,10 @@ def scattered_matrix(
         miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
         if miss.any():
             warnings.warn(
-                f"near-boundary evaluation of {int(miss.sum())} entries (closest "
-                f"point at distance {dist[near].min():.3e}) may exceed "
-                f"{NEAR_EVAL_TOLERANCE:g} relative error",
+                f"near-boundary evaluation: 2x and 4x upsampled values of "
+                f"{int(miss.sum())} entries (closest point at distance "
+                f"{dist[near].min():.3e}) differ by more than "
+                f"{NEAR_EVAL_TOLERANCE:g} relative; the 4x value is returned",
                 AccuracyWarning,
                 stacklevel=2,
             )

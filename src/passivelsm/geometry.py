@@ -237,6 +237,20 @@ def _points_from_angles(radius, theta, role, generation):
     return PointSet(points=pts, role=role, generation=generation)
 
 
+def _layout_span(radius, count, arc):
+    """(theta_min, span) of a checked layout of `count` points on |x| = radius."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if arc is None:
+        return 0.0, 2.0 * np.pi
+    theta_min, theta_max = float(arc[0]), float(arc[1])
+    if not (np.isfinite([theta_min, theta_max]).all() and theta_max > theta_min):
+        raise ValueError("arc must satisfy theta_max > theta_min, both finite")
+    return theta_min, theta_max - theta_min
+
+
 def circle_points(
     radius: float,
     count: int,
@@ -252,17 +266,9 @@ def circle_points(
     `arc` = (theta_min, theta_max) the layout covers that arc instead of
     the full circle.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    theta_min, span = _layout_span(radius, count, arc)
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    if arc is None:
-        theta_min, span = 0.0, 2.0 * np.pi
-    else:
-        theta_min, theta_max = float(arc[0]), float(arc[1])
-        if theta_max <= theta_min:
-            raise ValueError("arc must satisfy theta_max > theta_min")
-        span = theta_max - theta_min
     offsets = np.zeros(count)
     if beta > 0.0:
         offsets = substream(seed, "circle-points").uniform(0.0, beta, count)
@@ -287,15 +293,7 @@ def circle_points_uniform(
     Unlike the beta-perturbed layout this is unstratified, so quadrature
     built on it converges at the Monte Carlo rate 1/sqrt(count).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if arc is None:
-        theta_min, span = 0.0, 2.0 * np.pi
-    else:
-        theta_min, theta_max = float(arc[0]), float(arc[1])
-        if theta_max <= theta_min:
-            raise ValueError("arc must satisfy theta_max > theta_min")
-        span = theta_max - theta_min
+    theta_min, span = _layout_span(radius, count, arc)
     theta = theta_min + span * substream(seed, "circle-points-uniform").uniform(
         0.0, 1.0, count
     )

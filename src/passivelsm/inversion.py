@@ -187,9 +187,10 @@ def probe_point(factors: SvdFactors, phi_z: np.ndarray, z, delta: float) -> Prob
     """Solve one probe point end to end (Morozov alpha, then norms)."""
     b = factors.u.conj().T @ np.asarray(phi_z)
     alpha = morozov_alpha(factors, b, delta)
-    g_norm, residual = tikhonov_gnorm(factors, phi_z, alpha)
+    g_norm, residual = _tikhonov_norms(factors.sigma, (np.abs(b) ** 2)[:, None],
+                                       np.array([alpha]))
     return ProbeResult(z=np.asarray(z, dtype=float), alpha=alpha,
-                       g_norm=g_norm, residual=residual)
+                       g_norm=float(g_norm[0]), residual=float(residual[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -59,34 +59,61 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+def _ini(section: str, *keys: str, default):
+    """A config field stored under `keys` of INI `section`; two keys hold a pair."""
+    return field(default=default, metadata={"ini": (section, keys)})
+
+
+def _write(default, value) -> str:
+    """Format one INI value by the type of the field default."""
+    if isinstance(default, tuple):        # point centers "x1,y1; x2,y2"
+        return "; ".join(f"{float(x)!r},{float(y)!r}" for x, y in value)
+    return repr(float(value)) if isinstance(default, float) else str(value)
+
+
+def _read(default, section: str, key: str, text: str):
+    """Parse one INI value by the type of the field default it replaces."""
+    try:
+        if isinstance(default, tuple):    # point centers "x1,y1; x2,y2"
+            return tuple((float(x), float(y)) for x, y in
+                         (c.split(",") for c in text.split(";") if c.strip()))
+        return type(default)(text)
+    except ValueError as exc:
+        raise PipelineError("config", f"{section}.{key} = {text!r}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
-    """Complete description of one experiment (all lengths absolute)."""
+    """Complete description of one experiment (all lengths absolute).
 
-    k: float = 2.0 * math.pi
-    scatterer_kind: str = "kite"          # kite | ellipse | circle | point-scatterers | none
-    scatterer_center: tuple = (2.0, 2.0)
-    scatterer_size: float = 0.5
-    point_centers: tuple = ()
-    point_radius: float = 0.01
-    boundary_nodes: int = 256
-    receiver_radius: float = 5.0
-    receiver_count: int = 80
-    receiver_arc: Optional[tuple] = None
-    source_mode: str = "perturbed"        # perturbed | uniform
-    source_radius: float = 50.0
-    source_count: int = 80
-    source_beta: float = 0.1
-    source_arc: Optional[tuple] = None
-    matrix_kind: str = acquisition.CROSS_CORRELATION
-    realizations: int = 200
-    noise_amplitude: float = 5e-2
-    grid_x: tuple = (-6.0, 6.0)
-    grid_y: tuple = (-6.0, 6.0)
-    grid_nx: int = 100
-    grid_ny: int = 100
-    mask_radius: float = 5.0
-    seed: int = 0
+    Each field names its INI section and key(s), the one schema of the INI.
+    """
+
+    k: float = _ini("wave", "k", default=2.0 * math.pi)
+    # kite | ellipse | circle | point-scatterers | none
+    scatterer_kind: str = _ini("scatterer", "kind", default="kite")
+    scatterer_center: tuple = _ini("scatterer", "center_x", "center_y", default=(2.0, 2.0))
+    scatterer_size: float = _ini("scatterer", "size", default=0.5)
+    point_centers: tuple = _ini("scatterer", "centers", default=())
+    point_radius: float = _ini("scatterer", "radius", default=0.01)
+    boundary_nodes: int = _ini("discretization", "nodes", default=256)
+    receiver_radius: float = _ini("receivers", "radius", default=5.0)
+    receiver_count: int = _ini("receivers", "count", default=80)
+    receiver_arc: Optional[tuple] = _ini("receivers", "arc_min", "arc_max", default=None)
+    source_mode: str = _ini("sources", "mode", default="perturbed")  # perturbed | uniform
+    source_radius: float = _ini("sources", "radius", default=50.0)
+    source_count: int = _ini("sources", "count", default=80)
+    source_beta: float = _ini("sources", "beta", default=0.1)
+    source_arc: Optional[tuple] = _ini("sources", "arc_min", "arc_max", default=None)
+    matrix_kind: str = _ini("matrix", "kind", default=acquisition.CROSS_CORRELATION)
+    realizations: int = _ini("matrix", "realizations", default=200)
+    noise_amplitude: float = _ini("noise", "amplitude", default=5e-2)
+    grid_x: tuple = _ini("grid", "x_min", "x_max", default=(-6.0, 6.0))
+    grid_y: tuple = _ini("grid", "y_min", "y_max", default=(-6.0, 6.0))
+    grid_nx: int = _ini("grid", "nx", default=100)
+    grid_ny: int = _ini("grid", "ny", default=100)
+    mask_radius: float = _ini("grid", "mask_radius", default=5.0)
+    seed: int = _ini("run", "seed", default=0)
 
     @property
     def ctx(self) -> WaveContext:
@@ -104,122 +131,69 @@ class ExperimentConfig:
 
     # -- INI round trip ---------------------------------------------------
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["wave"] = {"k": repr(self.k)}
-        sc = {"kind": self.scatterer_kind}
-        if self.scatterer_kind == "point-scatterers":
-            sc["centers"] = "; ".join(f"{c[0]!r},{c[1]!r}" for c in self.point_centers)
-            sc["radius"] = repr(self.point_radius)
-        elif self.scatterer_kind != "none":
-            sc.update({
-                "center_x": repr(self.scatterer_center[0]),
-                "center_y": repr(self.scatterer_center[1]),
-                "size": repr(self.scatterer_size),
-            })
-        cp["scatterer"] = sc
-        cp["discretization"] = {"nodes": str(self.boundary_nodes)}
-        rc = {"radius": repr(self.receiver_radius), "count": str(self.receiver_count)}
-        if self.receiver_arc is not None:
-            rc["arc_min"] = repr(self.receiver_arc[0])
-            rc["arc_max"] = repr(self.receiver_arc[1])
-        cp["receivers"] = rc
-        sr = {
-            "mode": self.source_mode,
-            "radius": repr(self.source_radius),
-            "count": str(self.source_count),
-            "beta": repr(self.source_beta),
-        }
-        if self.source_arc is not None:
-            sr["arc_min"] = repr(self.source_arc[0])
-            sr["arc_max"] = repr(self.source_arc[1])
-        cp["sources"] = sr
-        cp["matrix"] = {"kind": self.matrix_kind, "realizations": str(self.realizations)}
-        cp["noise"] = {"amplitude": repr(self.noise_amplitude)}
-        cp["grid"] = {
-            "x_min": repr(self.grid_x[0]), "x_max": repr(self.grid_x[1]),
-            "y_min": repr(self.grid_y[0]), "y_max": repr(self.grid_y[1]),
-            "nx": str(self.grid_nx), "ny": str(self.grid_ny),
-            "mask_radius": repr(self.mask_radius),
-        }
-        cp["run"] = {"seed": str(self.seed)}
+        """Every key of every field; an arc that is None is left out."""
+        sections: dict = {}
+        for f in fields(self):
+            section, keys = f.metadata["ini"]
+            value = getattr(self, f.name)
+            entries = sections.setdefault(section, {})
+            if len(keys) == 1:
+                entries[keys[0]] = _write(f.default, value)
+            elif value is not None:
+                entries.update((key, _write(0.0, part)) for key, part in zip(keys, value))
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_dict(sections)
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
     @classmethod
-    def from_ini(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
-        cfg = cls()
-        g = cp.getfloat
-        if cp.has_section("wave"):
-            cfg.k = g("wave", "k", fallback=cfg.k)
-        if cp.has_section("scatterer"):
-            cfg.scatterer_kind = cp.get("scatterer", "kind", fallback=cfg.scatterer_kind)
-            if cfg.scatterer_kind == "point-scatterers":
-                raw = cp.get("scatterer", "centers", fallback="")
-                centers = []
-                for chunk in raw.split(";"):
-                    chunk = chunk.strip()
-                    if chunk:
-                        a, b = chunk.split(",")
-                        centers.append((float(a), float(b)))
-                cfg.point_centers = tuple(centers)
-                cfg.point_radius = g("scatterer", "radius", fallback=cfg.point_radius)
-            elif cfg.scatterer_kind != "none":
-                cfg.scatterer_center = (
-                    g("scatterer", "center_x", fallback=cfg.scatterer_center[0]),
-                    g("scatterer", "center_y", fallback=cfg.scatterer_center[1]),
-                )
-                cfg.scatterer_size = g("scatterer", "size", fallback=cfg.scatterer_size)
-        if cp.has_section("discretization"):
-            cfg.boundary_nodes = cp.getint("discretization", "nodes",
-                                           fallback=cfg.boundary_nodes)
-        if cp.has_section("receivers"):
-            cfg.receiver_radius = g("receivers", "radius", fallback=cfg.receiver_radius)
-            cfg.receiver_count = cp.getint("receivers", "count",
-                                           fallback=cfg.receiver_count)
-            if cp.has_option("receivers", "arc_min"):
-                cfg.receiver_arc = (g("receivers", "arc_min"), g("receivers", "arc_max"))
-        if cp.has_section("sources"):
-            cfg.source_mode = cp.get("sources", "mode", fallback=cfg.source_mode)
-            cfg.source_radius = g("sources", "radius", fallback=cfg.source_radius)
-            cfg.source_count = cp.getint("sources", "count", fallback=cfg.source_count)
-            cfg.source_beta = g("sources", "beta", fallback=cfg.source_beta)
-            if cp.has_option("sources", "arc_min"):
-                cfg.source_arc = (g("sources", "arc_min"), g("sources", "arc_max"))
-        if cp.has_section("matrix"):
-            cfg.matrix_kind = cp.get("matrix", "kind", fallback=cfg.matrix_kind)
-            cfg.realizations = cp.getint("matrix", "realizations",
-                                         fallback=cfg.realizations)
-        if cp.has_section("noise"):
-            cfg.noise_amplitude = g("noise", "amplitude", fallback=cfg.noise_amplitude)
-        if cp.has_section("grid"):
-            cfg.grid_x = (g("grid", "x_min", fallback=cfg.grid_x[0]),
-                          g("grid", "x_max", fallback=cfg.grid_x[1]))
-            cfg.grid_y = (g("grid", "y_min", fallback=cfg.grid_y[0]),
-                          g("grid", "y_max", fallback=cfg.grid_y[1]))
-            cfg.grid_nx = cp.getint("grid", "nx", fallback=cfg.grid_nx)
-            cfg.grid_ny = cp.getint("grid", "ny", fallback=cfg.grid_ny)
-            cfg.mask_radius = g("grid", "mask_radius", fallback=cfg.mask_radius)
-        if cp.has_section("run"):
-            cfg.seed = cp.getint("run", "seed", fallback=cfg.seed)
-        return cfg
+    def from_ini(cls, text: str, overrides=()) -> "ExperimentConfig":
+        """Read INI text with `(section.key, value)` overrides merged in.
+
+        Keys left out keep their defaults.  An unknown section or key, an
+        unparsable value or a lone arc end raises PipelineError("config").
+        """
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
+            cp.read_string(text)
+            for dotted_key, value in overrides:
+                section, _, key = dotted_key.partition(".")
+                cp.read_dict({section: {key: value}})
+        except configparser.Error as exc:
+            raise PipelineError("config", str(exc)) from exc
+        known = {(f.metadata["ini"][0], key)
+                 for f in fields(cls) for key in f.metadata["ini"][1]}
+        if cp.defaults():
+            raise PipelineError("config", f"unknown section [{cp.default_section}]")
+        for section in cp.sections():
+            if section not in {s for s, _ in known}:
+                raise PipelineError("config", f"unknown section [{section}]")
+            for key in cp[section]:
+                if (section, key) not in known:
+                    raise PipelineError("config", f"unknown key {section}.{key}")
+        values = {}
+        for f in fields(cls):
+            section, keys = f.metadata["ini"]
+            raw = [cp.get(section, key, fallback=None) for key in keys]
+            if all(r is None for r in raw):
+                continue
+            if len(keys) == 1:
+                values[f.name] = _read(f.default, section, keys[0], raw[0])
+            elif f.default is None and None in raw:
+                raise PipelineError(
+                    "config", f"{section}.{'/'.join(keys)} must be given together")
+            else:   # a missing part of a pair keeps its default
+                values[f.name] = tuple(
+                    d if r is None else _read(0.0, section, key, r)
+                    for key, r, d in zip(keys, raw, f.default or raw))
+        return cls(**values)
 
     def apply_override(self, dotted_key: str, value: str) -> None:
         """Apply a CLI `section.key=value` override onto this config."""
-        ini = self.to_ini()
-        cp = configparser.ConfigParser()
-        cp.read_string(ini)
-        section, _, key = dotted_key.partition(".")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
-        buf = io.StringIO()
-        cp.write(buf)
-        updated = ExperimentConfig.from_ini(buf.getvalue())
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(updated, f))
+        updated = ExperimentConfig.from_ini(self.to_ini(), [(dotted_key, value)])
+        for f in fields(self):
+            setattr(self, f.name, getattr(updated, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +346,8 @@ def _build_sources(cfg: ExperimentConfig) -> geometry.PointSet:
         return geometry.circle_points_uniform(
             cfg.source_radius, cfg.source_count, seed=cfg.seed, arc=cfg.source_arc,
         )
+    if cfg.source_mode != "perturbed":
+        raise ValueError(f"unknown source mode {cfg.source_mode!r} (perturbed | uniform)")
     beta = 0.0 if cfg.matrix_kind == acquisition.COVARIANCE else cfg.source_beta
     return geometry.circle_points(
         cfg.source_radius, cfg.source_count, beta=beta, seed=cfg.seed,

@@ -177,6 +177,27 @@ class TestUniformPoints:
         )
 
 
+@pytest.mark.parametrize("layout", [
+    lambda **kw: circle_points(beta=0.1, seed=3, **kw),
+    lambda **kw: circle_points_uniform(seed=3, **kw),
+], ids=["perturbed", "uniform"])
+class TestLayoutValidation:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_radius(self, layout, radius):
+        with pytest.raises(ValueError, match="radius"):
+            layout(radius=radius, count=8)
+
+    @pytest.mark.parametrize("arc", [(2.0, 1.0), (1.0, 1.0), (np.nan, 1.0),
+                                     (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)])
+    def test_rejects_bad_arc(self, layout, arc):
+        with pytest.raises(ValueError, match="arc"):
+            layout(radius=2.0, count=8, arc=arc)
+
+    def test_rejects_empty_layout(self, layout):
+        with pytest.raises(ValueError, match="count"):
+            layout(radius=2.0, count=0)
+
+
 class TestInteriorQueries:
     def test_contains_circle(self):
         curve = BoundaryCurve(kind="circle", params=(1.0,), center=(2.0, 0.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -112,6 +113,95 @@ class TestConfigSerialization:
         assert cfg.noise_amplitude == pytest.approx(0.1)
         assert cfg.source_count == 40
 
+    @pytest.mark.parametrize("name", [
+        "ellipse-N", "ellipse-I", "ellipse-C", "kite-N", "kite-I", "kite-C",
+        "kite-beta(0.6,200)", "wavenumber(4pi,160)", "setup2(800)",
+        "limited-aperture(N)", "limited-aperture(C)", "point-scatterers",
+    ])
+    def test_every_preset_round_trips(self, name):
+        assert ExperimentConfig.from_ini(preset(name).to_ini()) == preset(name)
+
+    def test_missing_keys_keep_defaults(self):
+        # a point-scatterer file that leaves out the curve keys and x_max
+        cfg = ExperimentConfig.from_ini(
+            "[scatterer]\nkind = point-scatterers\ncenters = -2.0,-2.0; 2.0,2.0\n"
+            "[matrix]\nkind = imaginary-near-field\n[grid]\nx_min = -3.0\n"
+        )
+        assert cfg == ExperimentConfig(
+            scatterer_kind="point-scatterers", point_centers=((-2.0, -2.0), (2.0, 2.0)),
+            matrix_kind=acquisition.IMAGINARY_NEAR_FIELD, grid_x=(-3.0, 6.0),
+        )
+
+    def test_both_arc_ends_as_two_overrides(self):
+        cfg = ExperimentConfig.from_ini(preset("kite-C").to_ini(), [
+            ("receivers.arc_min", "1"), ("receivers.arc_max", "2")])
+        assert cfg.receiver_arc == (1.0, 2.0)
+
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("", [("noise.amplitud", "0.1")], "unknown key noise.amplitud"),
+        ("[foo]\nx = 1\n", [], r"unknown section \[foo\]"),
+        ("", [("foo", "1")], r"unknown section \[foo\]"),
+        ("[DEFAULT]\nk = 1\n", [], r"unknown section \[DEFAULT\]"),
+        ("", [("receivers.arc_min", "1")], "must be given together"),
+        ("[sources]\narc_max = 1\n", [], "must be given together"),
+        ("", [("grid.nx", "abc")], "grid.nx"),
+        ("", [("scatterer.centers", "1,2,3")], "scatterer.centers"),
+        ("[wave]\nk 1\n", [], "parsing errors"),
+    ], ids=["misspelt-key", "unknown-section", "override-without-key",
+            "default-section", "lone-arc_min", "lone-arc_max", "unparsable-int",
+            "three-coordinates", "malformed-ini"])
+    def test_rejected_config(self, text, overrides, message):
+        with pytest.raises(PipelineError, match=message) as err:
+            ExperimentConfig.from_ini(text, overrides)
+        assert err.value.stage == "config"
+
+
+SCHEMA_KEYS = [
+    (f, f"{f.metadata['ini'][0]}.{key}")
+    for f in dataclasses.fields(ExperimentConfig) for key in f.metadata["ini"][1]
+]
+WORD_KEYS = [key for f, key in SCHEMA_KEYS if isinstance(f.default, str)]
+NUMERIC_KEYS = [key for f, key in SCHEMA_KEYS
+                if f.default is None or isinstance(f.default, (int, float))
+                or len(f.metadata["ini"][1]) == 2]
+STAGES = {"config", "geometry", "assemble", "acquire", "noise", "invert"}
+
+
+@pytest.fixture(scope="module")
+def tiny_ini():
+    cfg = tiny_config(grid_nx=8, grid_ny=8)
+    return cfg.to_ini()
+
+
+class TestConfigSchema:
+    """Every key of the schema, driven from the field table itself."""
+
+    def test_each_key_is_named_once(self):
+        keys = [key for _, key in SCHEMA_KEYS]
+        assert len(keys) == len(set(keys))
+        assert len(WORD_KEYS) + len(NUMERIC_KEYS) + 1 == len(keys)  # + centers
+
+    @pytest.mark.parametrize("key", [key for _, key in SCHEMA_KEYS])
+    def test_bogus_value(self, tiny_ini, key):
+        if key not in WORD_KEYS:
+            with pytest.raises(PipelineError) as err:
+                ExperimentConfig.from_ini(tiny_ini, [(key, "bogus")])
+            assert err.value.stage == "config"
+            return
+        # a word parses; the stage that uses it rejects an unknown one
+        cfg = ExperimentConfig.from_ini(tiny_ini, [(key, "bogus")])
+        with pytest.raises(PipelineError, match="unknown") as err:
+            pipeline.execute(cfg)
+        assert err.value.stage in STAGES - {"config"}
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_edge_value_runs_or_fails_with_a_stage(self, tiny_ini, key, value):
+        try:
+            pipeline.execute(ExperimentConfig.from_ini(tiny_ini, [(key, value)]))
+        except PipelineError as err:
+            assert err.stage in STAGES
+
 
 class TestExecute:
     def test_geometry_validation(self):
@@ -131,6 +221,12 @@ class TestExecute:
         with pytest.raises(PipelineError, match="no grid point was probed") as err:
             pipeline.execute(tiny_config(**overrides))
         assert err.value.stage == "invert"
+
+    @pytest.mark.parametrize("mode", ["unifrom", "bogus"])
+    def test_unknown_source_mode_fails_in_geometry_stage(self, mode):
+        with pytest.raises(PipelineError, match="unknown source mode") as err:
+            pipeline.execute(tiny_config(source_mode=mode))
+        assert err.value.stage == "geometry"
 
     def test_zero_noise_fails_in_invert_stage(self):
         cfg = tiny_config(noise_amplitude=0.0)
@@ -251,6 +347,38 @@ class TestCli:
         ])
         assert rc == 1
         assert "invert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["--preset", "kite-C", "--set", "noise.amplitud=0.1"], "config"),
+        (["--preset", "kite-C", "--set", "grid.nx=abc"], "config"),
+        (["--preset", "kite-C", "--set", "receivers.arc_min=1"], "config"),
+        (["--preset", "kite-C", "--set", "foo=1"], "config"),
+        (["--preset", "kite-C", "--set", "sources.mode=unifrom"], "geometry"),
+        (["--preset", "kite-C", "--set", "receivers.radius=0"], "geometry"),
+        (["--preset", "torus-N"], "config"),
+        (["--preset", "setup2("], "config"),
+        (["--config", "missing.ini"], "config"),
+    ], ids=["misspelt-key", "unparsable-int", "lone-arc_min", "override-without-key",
+            "unknown-source-mode", "zero-radius", "unknown-preset",
+            "malformed-preset", "missing-config-file"])
+    def test_bad_config_exits_1_with_stage(self, tmp_path, monkeypatch, capsys,
+                                           argv, stage):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--out", "o"] + argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{stage}] ")
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["torus-N", "kite-beta(x)", "setup2("])
+    def test_info_bad_preset_exits_1(self, capsys, name):
+        assert cli.main(["info", "--preset", name]) == 1
+        assert capsys.readouterr().err.startswith("error: [config] ")
+
+    def test_set_flags_apply_together(self):
+        args = cli._build_parser().parse_args([
+            "run", "--preset", "kite-C",
+            "--set", "receivers.arc_min=1", "--set", "receivers.arc_max=2",
+        ])
+        assert cli._load_config(args).receiver_arc == (1.0, 2.0)
 
     def test_validate_suite(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
