@@ -91,7 +91,7 @@ def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMa
     is symmetric by reciprocity (exactly so in this discretization).
     """
     pts = receivers.points
-    require_exterior(system, system.ctx, pts, what="receiver")
+    require_exterior(system, pts, what="receiver")
     entries = scattered_matrix(system, solve_charges(system, pts), pts)
     prov = {
         "k": system.ctx.k,
@@ -129,7 +129,7 @@ def cross_correlation_matrix(
     should surround both receivers and scatterers for the underlying
     identity to hold (a limited-aperture arc degrades it by design).
     """
-    require_exterior(system, system.ctx, receivers.points, what="receiver")
+    require_exterior(system, receivers.points, what="receiver")
     u = total_field_matrix(system, receivers.points, random_sources.points)
     L = random_sources.count
     k = system.ctx.k
@@ -170,7 +170,7 @@ def covariance_matrix(
     """
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
-    require_exterior(system, system.ctx, receivers.points, what="receiver")
+    require_exterior(system, receivers.points, what="receiver")
     u = total_field_matrix(system, receivers.points, sources.points)  # (J, L)
     L = sources.count
     k = system.ctx.k
@@ -225,8 +225,8 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
     normal from the (seed, "measurement-noise") stream, and the recorded
     noise level delta is the exact spectral norm of the drawn E.
     """
-    if amplitude < 0:
-        raise ValueError("noise amplitude must be nonnegative")
+    if not (np.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"noise amplitude must be finite and >= 0, got {amplitude}")
     if amplitude == 0.0:
         prov = dict(matrix.provenance)
         prov.update({"noise_amplitude": 0.0, "delta": 0.0, "noise_seed": int(seed)})

@@ -196,15 +196,11 @@ def assemble_single_layer(
 # ---------------------------------------------------------------------------
 # Solving
 # ---------------------------------------------------------------------------
-def require_exterior(system_or_boundaries, ctx: WaveContext, points, what="point"):
+def require_exterior(system: SingleLayerSystem, points, what="point"):
     """Raise GeometryError unless every point is clearly outside all scatterers."""
-    if isinstance(system_or_boundaries, SingleLayerSystem):
-        boundaries = system_or_boundaries.boundaries
-    else:
-        boundaries = tuple(system_or_boundaries)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    clearance = MIN_SOURCE_CLEARANCE * ctx.wavelength
-    for b in boundaries:
+    clearance = MIN_SOURCE_CLEARANCE * system.ctx.wavelength
+    for b in system.boundaries:
         if contains_points(b.curve, pts).any():
             raise GeometryError(f"{what} lies inside a scatterer")
         if (boundary_distance(b.curve, pts) < clearance).any():
@@ -220,7 +216,7 @@ def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     shape (n_nodes, n_sources).
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
-    require_exterior(system, system.ctx, src, what="source")
+    require_exterior(system, src, what="source")
     if system.size == 0:
         return np.zeros((0, len(src)), dtype=complex)
     rhs = -green2d(system.ctx, system.nodes[:, None, :], src[None, :, :])

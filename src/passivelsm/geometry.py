@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.spatial
 
 from .seeding import substream
 from .specfun import WaveContext
@@ -23,6 +24,10 @@ from .specfun import WaveContext
 _KITE_XMIN = -97.0 / 65.0
 _KITE_XMAX = 1.0
 _KITE_YMAX = 1.5
+
+# Vertices of the polygon that stands in for a curve in interior and
+# distance queries.
+POLYGON_SAMPLES = 2048
 
 
 ROLE_RECEIVER = "receiver"
@@ -126,8 +131,10 @@ def place_scatterer(
     "Size" is read as the maximal chord of the placed curve, which is
     unambiguous across shapes.
     """
-    if size <= 0:
-        raise ValueError("size must be positive")
+    if not np.isfinite(center).all():
+        raise ValueError(f"scatterer center must be finite, got {tuple(center)}")
+    if not (np.isfinite(size) and size > 0):
+        raise ValueError(f"scatterer size must be positive and finite, got {size}")
     del ctx  # lengths are absolute; the context only documents the wavelength
     scale = size / curve.canonical_diameter()
     return replace(curve, center=(float(center[0]), float(center[1])), scale=scale)
@@ -182,16 +189,20 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
 # ---------------------------------------------------------------------------
 # Interior / distance queries (used for validation and image metrics)
 # ---------------------------------------------------------------------------
-def contains_points(curve: BoundaryCurve, points, samples: int = 2048):
+def _polygon(curve: BoundaryCurve):
+    """The curve sampled at POLYGON_SAMPLES equispaced parameters."""
+    return curve.point(2.0 * np.pi * np.arange(POLYGON_SAMPLES) / POLYGON_SAMPLES)
+
+
+def contains_points(curve: BoundaryCurve, points):
     """Even-odd interior test against a dense polygonal sampling."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tt = 2.0 * np.pi * np.arange(samples) / samples
-    poly = curve.point(tt)
+    poly = _polygon(curve)
     px, py = poly[:, 0], poly[:, 1]
     qx, qy = np.roll(px, 1), np.roll(py, 1)
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
-    for i in range(samples):
+    for i in range(POLYGON_SAMPLES):
         dy = qy[i] - py[i]
         if dy == 0.0:
             continue
@@ -201,18 +212,10 @@ def contains_points(curve: BoundaryCurve, points, samples: int = 2048):
     return inside
 
 
-def boundary_distance(curve: BoundaryCurve, points, samples: int = 2048):
-    """Distance from each point to a dense sampling of the curve."""
+def boundary_distance(curve: BoundaryCurve, points):
+    """Distance from each point to the nearest vertex of the sampled curve."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    tt = 2.0 * np.pi * np.arange(samples) / samples
-    poly = curve.point(tt)
-    out = np.empty(len(pts))
-    block = 512
-    for s in range(0, len(pts), block):
-        chunk = pts[s : s + block]
-        d = np.sqrt(((chunk[:, None, :] - poly[None, :, :]) ** 2).sum(-1))
-        out[s : s + block] = d.min(axis=1)
-    return out
+    return scipy.spatial.cKDTree(_polygon(curve)).query(pts)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -394,12 +394,6 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             curve = geometry.place_scatterer(
                 builder(), ctx, cfg.scatterer_center, cfg.scatterer_size
             )
-            for what, pts in (("receiver", receivers.points),
-                              ("source", None if sources is None else sources.points)):
-                if pts is None:
-                    continue
-                if geometry.contains_points(curve, pts).any():
-                    raise ValueError(f"a {what} lies inside the scatterer")
     except Exception as exc:
         raise PipelineError("geometry", str(exc)) from exc
     timings["geometry"] = time.perf_counter() - t0
@@ -448,6 +442,9 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             raise ValueError(f"unknown matrix kind {cfg.matrix_kind!r}")
     except PipelineError:
         raise
+    except forward.GeometryError as exc:
+        # the acquisition builders make the run's only exterior check
+        raise PipelineError("geometry", str(exc)) from exc
     except Exception as exc:
         raise PipelineError("acquire", str(exc)) from exc
     timings["acquire"] = time.perf_counter() - t0

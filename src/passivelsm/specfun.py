@@ -37,8 +37,8 @@ class WaveContext:
     k: float
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError(f"wavenumber must be positive, got {self.k}")
+        if not (np.isfinite(self.k) and self.k > 0.0):
+            raise ValueError(f"wavenumber must be positive and finite, got {self.k}")
 
     @property
     def wavelength(self) -> float:

@@ -215,3 +215,13 @@ class TestInteriorQueries:
         curve = BoundaryCurve(kind="circle", params=(1.0,))
         d = boundary_distance(curve, [[2.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
         np.testing.assert_allclose(d, [1.0, 1.0, 0.5], atol=1e-4)
+
+    def test_boundary_distance_kite_equals_brute_force(self):
+        curve = BoundaryCurve(kind="kite", center=(0.3, -0.2), scale=0.8, rotation=0.4)
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0.0, 2.0 * np.pi, 500)
+        near = curve.point(t) + rng.uniform(-1e-3, 1e-3, (500, 2))
+        pts = np.vstack([near, rng.uniform(-3.0, 3.0, (500, 2))])
+        poly = curve.point(2.0 * np.pi * np.arange(2048) / 2048)
+        brute = np.sqrt(((pts[:, None, :] - poly[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        assert np.array_equal(boundary_distance(curve, pts), brute)

@@ -204,12 +204,46 @@ class TestConfigSchema:
 
 
 class TestExecute:
-    def test_geometry_validation(self):
-        cfg = tiny_config(receiver_radius=0.05, mask_radius=0.05)
-        cfg.scatterer_center = (0.0, 0.0)
+    @pytest.mark.parametrize("overrides", [
+        # receivers inside the kite
+        {"receiver_radius": 0.05, "mask_radius": 0.05,
+         "scatterer_center": (0.0, 0.0)},
+        # the receiver at (5, 0) is 5e-4 from the circle, inside the clearance
+        {"scatterer_kind": "circle", "scatterer_center": (5.0505, 0.0),
+         "scatterer_size": 0.1},
+        # the source at (50, 0) is inside the kite
+        {"scatterer_center": (50.0, 0.0), "source_beta": 0.0},
+    ], ids=["receiver-inside", "receiver-within-clearance", "source-inside"])
+    def test_geometry_validation(self, overrides):
         with pytest.raises(PipelineError) as err:
-            pipeline.execute(cfg)
+            pipeline.execute(tiny_config(**overrides))
         assert err.value.stage == "geometry"
+
+    @pytest.mark.parametrize("field, value, stage, name", [
+        ("scatterer_center", (math.nan, 0.0), "geometry", "center"),
+        ("scatterer_size", math.inf, "geometry", "size"),
+        ("k", math.inf, "geometry", "wavenumber"),
+        ("noise_amplitude", math.nan, "noise", "noise amplitude"),
+    ], ids=["center-nan", "size-inf", "k-inf", "noise-amplitude-nan"])
+    def test_non_finite_value_is_rejected_by_name(self, field, value, stage, name):
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(tiny_config(**{field: value}))
+        assert err.value.stage == stage
+        assert name in str(err.value) and str(value) in str(err.value)
+
+    def test_each_point_set_is_checked_once(self, monkeypatch):
+        sizes = []
+        original = geometry.contains_points
+
+        def counting(curve, points):
+            sizes.append(len(points))
+            return original(curve, points)
+
+        monkeypatch.setattr(geometry, "contains_points", counting)
+        monkeypatch.setattr(forward, "contains_points", counting)
+        cfg = tiny_config()
+        pipeline.execute(cfg)
+        assert sorted(sizes) == sorted([cfg.receiver_count, cfg.source_count])
 
     def test_bad_wavenumber_fails_in_geometry_stage(self):
         with pytest.raises(PipelineError) as err:
