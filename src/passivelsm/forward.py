@@ -151,9 +151,9 @@ def assemble_single_layer(
 
     Diagonal blocks use the Kress log-singularity quadrature; blocks
     coupling distinct boundaries are smooth and get the plain trapezoid
-    rule.  Emits ResonanceWarning when the 2-norm condition estimate
-    exceeds 1e10, the numerical footprint of k^2 hitting an interior
-    Dirichlet eigenvalue.
+    rule.  Emits ResonanceWarning when the 1-norm condition estimate
+    (LAPACK gecon on the LU factors) exceeds 1e10, the numerical
+    footprint of k^2 hitting an interior Dirichlet eigenvalue.
     """
     if isinstance(boundaries, DiscretizedBoundary):
         boundaries = (boundaries,)
@@ -174,8 +174,9 @@ def assemble_single_layer(
             matrix[sa, sb] = block
             matrix[sb, sa] = block.T
     if ntot:
-        cond = float(np.linalg.cond(matrix))
         lu = scipy.linalg.lu_factor(matrix)
+        rcond, _ = scipy.linalg.lapack.zgecon(lu[0], np.linalg.norm(matrix, 1), norm="1")
+        cond = float(1.0 / rcond) if rcond > 0 else np.inf
     else:
         cond, lu = 1.0, None
     if cond > RESONANCE_CONDITION_LIMIT:

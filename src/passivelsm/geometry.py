@@ -189,33 +189,29 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
 # ---------------------------------------------------------------------------
 # Interior / distance queries (used for validation and image metrics)
 # ---------------------------------------------------------------------------
-def _polygon(curve: BoundaryCurve):
-    """The curve sampled at POLYGON_SAMPLES equispaced parameters."""
-    return curve.point(2.0 * np.pi * np.arange(POLYGON_SAMPLES) / POLYGON_SAMPLES)
+def _nearest_vertex(curve: BoundaryCurve, points):
+    """Points, the POLYGON_SAMPLES-node sampling of the curve, and each
+    point's distance to and index of its nearest node (one k-d tree query)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    poly = discretize(curve, POLYGON_SAMPLES)
+    dist, idx = scipy.spatial.cKDTree(poly.nodes).query(pts)
+    return pts, poly, dist, idx
 
 
 def contains_points(curve: BoundaryCurve, points):
-    """Even-odd interior test against a dense polygonal sampling."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = _polygon(curve)
-    px, py = poly[:, 0], poly[:, 1]
-    qx, qy = np.roll(px, 1), np.roll(py, 1)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    for i in range(POLYGON_SAMPLES):
-        dy = qy[i] - py[i]
-        if dy == 0.0:
-            continue
-        crosses = (py[i] > y) != (qy[i] > y)
-        xint = (qx[i] - px[i]) * (y - py[i]) / dy + px[i]
-        inside ^= crosses & (x < xint)
-    return inside
+    """True where a point lies behind the outward normal at its nearest node.
+
+    The nearest point of a smooth closed curve lies along the normal, so
+    the sign is exact away from the curve; it can err only within a small
+    fraction of a node spacing of the boundary.
+    """
+    pts, poly, _, idx = _nearest_vertex(curve, points)
+    return ((pts - poly.nodes[idx]) * poly.normals[idx]).sum(axis=1) < 0
 
 
 def boundary_distance(curve: BoundaryCurve, points):
-    """Distance from each point to the nearest vertex of the sampled curve."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return scipy.spatial.cKDTree(_polygon(curve)).query(pts)[0]
+    """Distance from each point to the nearest node of the sampled curve."""
+    return _nearest_vertex(curve, points)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.spatial
 
 from .acquisition import FieldMatrix, _write_csv
 from .geometry import PointSet
@@ -271,9 +272,7 @@ def indicator_map(
     inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2
     # exclude probe points that collide with a receiver
     dmin = np.full(len(pts), np.inf)
-    if inside.any():
-        d = np.sqrt(((pts[inside][:, None, :] - receivers.points[None, :, :]) ** 2).sum(-1))
-        dmin[inside] = d.min(axis=1)
+    dmin[inside] = scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
     probe = inside & (dmin > SINGULARITY_FACTOR * ctx.wavelength)
     values = np.zeros(len(pts))
     ok = np.zeros(len(pts), dtype=bool)

@@ -1,9 +1,10 @@
 """Independent reference computations for tests.
 
 These deliberately avoid the package's own evaluation paths: plain
-Python ascending series for the cylinder functions, and power iteration
-with deflation for singular values.  Expected values frozen in the
-tests were produced by these routines.
+Python ascending series for the cylinder functions, power iteration
+with deflation for singular values, and an even-odd crossing count for
+points in a polygon.  Expected values frozen in the tests were produced
+by these routines.
 """
 
 import math
@@ -82,3 +83,21 @@ def singular_values_power_iteration(
         values.append(max(lam, 0.0))
         work = work - lam * np.outer(v, v.conj())
     return np.sqrt(np.sort(np.array(values))[::-1])
+
+
+def polygon_contains_even_odd(vertices, points, block: int = 512) -> np.ndarray:
+    """Even-odd rule: a point is inside when a ray towards +x crosses the
+    closed polygon an odd number of times.  Vectorised over blocks of
+    points against all edges."""
+    p = np.asarray(vertices, dtype=float)
+    q = np.roll(p, 1, axis=0)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    inside = np.zeros(len(pts), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(pts), block):
+            x = pts[start:start + block, 0:1]
+            y = pts[start:start + block, 1:2]
+            crosses = (p[:, 1] > y) != (q[:, 1] > y)
+            xint = (q[:, 0] - p[:, 0]) * (y - p[:, 1]) / (q[:, 1] - p[:, 1]) + p[:, 0]
+            inside[start:start + block] = (crosses & (x < xint)).sum(axis=1) % 2 == 1
+    return inside

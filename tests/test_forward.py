@@ -47,6 +47,13 @@ class TestAssembly:
     def test_condition_estimate_benign(self, circle_system):
         assert circle_system.condition_estimate < 1e4
 
+    def test_condition_estimate_brackets_exact_1_norm(self, circle_system, kite_system):
+        # gecon's estimate is a lower bound of the 1-norm condition number,
+        # up to the rounding of the explicit inverse (1e-12 relative)
+        for system in (circle_system, kite_system):
+            exact = np.linalg.cond(system.matrix, 1)
+            assert exact / 10.0 <= system.condition_estimate <= exact * (1.0 + 1e-12)
+
     def test_resonance_warning(self, ctx):
         # ka at the first zero of J_0 makes k^2 an interior eigenvalue
         radius = FIRST_J0_ZERO / ctx.k

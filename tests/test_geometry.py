@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from passivelsm import geometry
+from passivelsm import geometry, pipeline
 from passivelsm.geometry import (
     BoundaryCurve,
     boundary_distance,
@@ -12,6 +14,31 @@ from passivelsm.geometry import (
     discretize,
     place_scatterer,
 )
+from passivelsm.specfun import WaveContext
+
+from oracles import polygon_contains_even_odd
+
+PRESET_SCENES = ["ellipse-N", "ellipse-C", "kite-C", "wavenumber(4pi,160)",
+                 "setup2(200)", "limited-aperture(I)"]
+
+
+def _sampled_curve(curve):
+    return curve.point(2.0 * np.pi * np.arange(geometry.POLYGON_SAMPLES)
+                       / geometry.POLYGON_SAMPLES)
+
+
+def _random_curves(count, seed):
+    """Kites, ellipses and circles of size 0.2-3 wavelengths, k in [pi, 8 pi],
+    any rotation and a center in [-3, 3]^2."""
+    rng = np.random.default_rng(seed)
+    shapes = [BoundaryCurve(kind="kite"),
+              BoundaryCurve(kind="ellipse", params=(1.5, 1.0)),
+              BoundaryCurve(kind="circle", params=(1.0,))]
+    for i in range(count):
+        ctx = WaveContext(k=rng.uniform(np.pi, 8.0 * np.pi))
+        shape = replace(shapes[i % 3], rotation=rng.uniform(0.0, 2.0 * np.pi))
+        size = rng.uniform(0.2, 3.0) * ctx.wavelength
+        yield place_scatterer(shape, ctx, rng.uniform(-3.0, 3.0, 2), size), rng
 
 
 class TestCanonicalKite:
@@ -225,3 +252,36 @@ class TestInteriorQueries:
         poly = curve.point(2.0 * np.pi * np.arange(2048) / 2048)
         brute = np.sqrt(((pts[:, None, :] - poly[None, :, :]) ** 2).sum(-1)).min(axis=1)
         assert np.array_equal(boundary_distance(curve, pts), brute)
+
+    @pytest.mark.parametrize("name", PRESET_SCENES)
+    def test_contains_matches_even_odd_on_preset_point_sets(self, name):
+        cfg = pipeline.preset(name)
+        curve = place_scatterer(pipeline._CURVE_BUILDERS[cfg.scatterer_kind](), cfg.ctx,
+                                cfg.scatterer_center, cfg.scatterer_size)
+        receivers = circle_points(cfg.receiver_radius, cfg.receiver_count,
+                                  arc=cfg.receiver_arc)
+        vertices = _sampled_curve(curve)
+        for pts in (cfg.grid_spec().points(), receivers.points,
+                    pipeline._build_sources(cfg).points):
+            np.testing.assert_array_equal(
+                contains_points(curve, pts), polygon_contains_even_odd(vertices, pts))
+
+    def test_contains_matches_even_odd_on_random_curves(self):
+        for curve, rng in _random_curves(24, seed=12):
+            c, d = np.asarray(curve.center), curve.diameter
+            pts = np.vstack([c + rng.uniform(-d, d, (1200, 2)),
+                             c + rng.uniform(-6.0 * d, 6.0 * d, (300, 2))])
+            expected = polygon_contains_even_odd(_sampled_curve(curve), pts)
+            np.testing.assert_array_equal(contains_points(curve, pts), expected)
+
+    def test_normal_offsets_classified_by_sign(self):
+        """Points 1e-2 node spacings off the curve along its exact normal."""
+        for curve, rng in _random_curves(12, seed=13):
+            t = rng.uniform(0.0, 2.0 * np.pi, 1000)
+            deriv = curve.derivative(t)
+            speed = np.hypot(deriv[:, 0], deriv[:, 1])
+            normal = np.column_stack([deriv[:, 1], -deriv[:, 0]]) / speed[:, None]
+            spacing = speed * 2.0 * np.pi / geometry.POLYGON_SAMPLES
+            sign = np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
+            pts = curve.point(t) + (sign * 1e-2 * spacing)[:, None] * normal
+            np.testing.assert_array_equal(contains_points(curve, pts), sign < 0)

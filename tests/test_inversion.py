@@ -259,6 +259,21 @@ class TestIndicatorMap:
             ix, iy = np.unravel_index(idx, (5, 5))
             assert imap.values[ix, iy] == pytest.approx(res.g_norm, rel=1e-9)
 
+    def test_cell_on_a_receiver_is_left_out(self, ctx):
+        rng = np.random.default_rng(11)
+        receivers = circle_points(5.0, 10)
+        matrix = make_field_matrix(random_complex(rng, (10, 10)), receivers, delta=0.05)
+        grid = GridSpec(-5.0, 5.0, -5.0, 5.0, 11, 11)
+        on_receiver = (grid.points() == receivers.points[0]).all(axis=1)
+        assert on_receiver.sum() == 1
+        with pytest.raises(SingularityError):
+            rhs_vector(receivers, grid.points()[on_receiver][0], ctx)
+        imap = indicator_map(matrix, grid, ctx)
+        assert not imap.mask.ravel()[on_receiver].any()
+        assert imap.values.ravel()[on_receiver] == 0.0
+        # 81 cells lie within radius 5; (5, 0) and (-5, 0) sit on receivers
+        assert imap.mask.sum() == 79
+
 
 class TestIndicatorRuntime:
     def test_reference_size_under_budget(self, ctx):
