@@ -13,7 +13,9 @@ Conventions, with receivers x_j, sources z_l on a curve Sigma of length
 
 The bracket is 2i Im phi = (i/2) J_0(k |x_j - x_m|) entrywise, which is
 finite on the diagonal (J_0(0) = 1 gives i/2), matching the limit value
-of the self-correlation term.
+of the self-correlation term.  Both correlation kinds are one Gram product
+of receiver fields minus the bracket; the covariance accumulates it over
+blocks of REALIZATION_BLOCK = 128 realizations.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ CROSS_CORRELATION = "cross-correlation"
 COVARIANCE = "covariance"
 
 MATRIX_KINDS = (NEAR_FIELD, IMAGINARY_NEAR_FIELD, CROSS_CORRELATION, COVARIANCE)
+
+# Covariance realizations whose fields enter one matrix product.
+REALIZATION_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,31 @@ def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
                        receivers=matrix.receivers, provenance=prov)
 
 
+def _correlation_matrix(kind, receivers: PointSet, sources: PointSet, sigma_length,
+                        system: SingleLayerSystem, prefactor, gram, **provenance):
+    """prefactor * gram(u) - bracket, u the (J, L) total field at the receivers.
+
+    gram(u) carries the kind's conjugation convention, provenance its own keys.
+    """
+    require_exterior(system, receivers.points, what="receiver")
+    u = total_field_matrix(system, receivers.points, sources.points)
+    entries = prefactor * gram(u) - imaginary_bracket(system.ctx, receivers)
+    prov = {
+        "k": system.ctx.k,
+        "L": sources.count,
+        "beta": sources.generation.get("beta"),
+        "source_mode": sources.generation.get("mode"),
+        "source_seed": sources.generation.get("seed"),
+        "sigma_length": float(sigma_length),
+        "noise_amplitude": 0.0,
+        "delta": 0.0,
+        "receiver_generation": receivers.generation,
+        **provenance,
+    }
+    return FieldMatrix(entries=entries, kind=kind, receivers=receivers,
+                       provenance=prov)
+
+
 def cross_correlation_matrix(
     receivers: PointSet,
     random_sources: PointSet,
@@ -129,25 +159,10 @@ def cross_correlation_matrix(
     should surround both receivers and scatterers for the underlying
     identity to hold (a limited-aperture arc degrades it by design).
     """
-    require_exterior(system, receivers.points, what="receiver")
-    u = total_field_matrix(system, receivers.points, random_sources.points)
-    L = random_sources.count
-    k = system.ctx.k
-    corr = (2j * k * sigma_length / L) * (np.conj(u) @ u.T)
-    entries = corr - imaginary_bracket(system.ctx, receivers)
-    prov = {
-        "k": k,
-        "L": L,
-        "beta": random_sources.generation.get("beta"),
-        "source_mode": random_sources.generation.get("mode"),
-        "source_seed": random_sources.generation.get("seed"),
-        "sigma_length": float(sigma_length),
-        "noise_amplitude": 0.0,
-        "delta": 0.0,
-        "receiver_generation": receivers.generation,
-    }
-    return FieldMatrix(entries=entries, kind=CROSS_CORRELATION,
-                       receivers=receivers, provenance=prov)
+    prefactor = 2j * system.ctx.k * sigma_length / random_sources.count
+    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources,
+                               sigma_length, system, prefactor,
+                               lambda u: np.conj(u) @ u.T)
 
 
 def covariance_matrix(
@@ -166,37 +181,31 @@ def covariance_matrix(
     delta_lm, so the M -> infinity limit reproduces the quadrature
     cross-correlation built on the same sources.  Realization r draws
     from the (seed, "covariance-noise", r) stream, independent of any
-    scheduling.
+    scheduling; the fields F = u A^T of REALIZATION_BLOCK realizations
+    at a time enter the sum of F F^H.
     """
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
-    require_exterior(system, receivers.points, what="receiver")
-    u = total_field_matrix(system, receivers.points, sources.points)  # (J, L)
-    L = sources.count
-    k = system.ctx.k
-    std = np.sqrt(sigma_length / (2.0 * L))
-    acc = np.zeros((receivers.count, receivers.count), dtype=complex)
-    for r in range(realizations):
-        g = substream(seed, "covariance-noise", r).standard_normal((2, L))
-        amplitudes = std * (g[0] + 1j * g[1])
-        field = u @ amplitudes  # U(x_j) for this realization
-        acc += np.outer(field, np.conj(field))
-    entries = (2j * k / realizations) * acc - imaginary_bracket(system.ctx, receivers)
-    prov = {
-        "k": k,
-        "L": L,
-        "M": int(realizations),
-        "beta": sources.generation.get("beta"),
-        "source_mode": sources.generation.get("mode"),
-        "source_seed": sources.generation.get("seed"),
-        "realization_seed": int(seed),
-        "sigma_length": float(sigma_length),
-        "noise_amplitude": 0.0,
-        "delta": 0.0,
-        "receiver_generation": receivers.generation,
-    }
-    return FieldMatrix(entries=entries, kind=COVARIANCE, receivers=receivers,
-                       provenance=prov)
+    count = sources.count
+    std = np.sqrt(sigma_length / (2.0 * count))
+
+    def gram(u):
+        acc = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
+        for start in range(0, realizations, REALIZATION_BLOCK):
+            # fill A row by row: stacking per-realization draws adds ~2 MB peak RSS
+            rows = range(start, min(start + REALIZATION_BLOCK, realizations))
+            a = np.empty((len(rows), count), dtype=complex)
+            for i, r in enumerate(rows):
+                g = substream(seed, "covariance-noise", r).standard_normal((2, count))
+                a[i] = g[0] + 1j * g[1]
+            a *= std
+            fields = u @ a.T  # U(x_j), a column per realization
+            acc += fields @ fields.conj().T
+        return acc
+
+    return _correlation_matrix(COVARIANCE, receivers, sources, sigma_length,
+                               system, 2j * system.ctx.k / realizations, gram,
+                               M=int(realizations), realization_seed=int(seed))
 
 
 def point_scatterer_near_field(

@@ -92,9 +92,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for entry in report["results"]:
-            tag = "PASS" if entry["passed"] else "FAIL"
-            print(f"{tag} criterion {entry['cid']:2d} [{entry['name']}] "
-                  f"({entry['seconds']:.1f}s)")
+            print(validate.CheckResult(**entry).line())
         text = json.dumps(report, indent=2, default=str)
         if args.out:
             with open(args.out, "w") as fh:

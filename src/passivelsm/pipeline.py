@@ -489,19 +489,7 @@ class RunManifest:
     status: str = "ok"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "status": self.status,
-                "seed": self.seed,
-                "delta": self.delta,
-                "config": self.config,
-                "timings": self.timings,
-                "files": self.files,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _sha256(path: Path) -> str:

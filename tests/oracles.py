@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
-with deflation for singular values, and an even-odd crossing count for
-points in a polygon.  Expected values frozen in the tests were produced
-by these routines.
+with deflation for singular values, an even-odd crossing count for
+points in a polygon, and one outer product per covariance realization.
+Expected values frozen in the tests were produced by these routines.
 """
 
 import math
 
 import numpy as np
+
+from passivelsm.seeding import substream
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -101,3 +103,18 @@ def polygon_contains_even_odd(vertices, points, block: int = 512) -> np.ndarray:
             xint = (q[:, 0] - p[:, 0]) * (y - p[:, 1]) / (q[:, 1] - p[:, 1]) + p[:, 0]
             inside[start:start + block] = (crosses & (x < xint)).sum(axis=1) % 2 == 1
     return inside
+
+
+def covariance_outer_loop(u, k: float, sigma_length: float, realizations: int,
+                          seed: int) -> np.ndarray:
+    """(2ik/M) sum_r U_r conj(U_r)^T for the (J, L) total field u, one
+    np.outer per realization r with amplitudes drawn from the
+    (seed, "covariance-noise", r) stream; the bracket is not subtracted."""
+    count = u.shape[1]
+    std = np.sqrt(sigma_length / (2.0 * count))
+    acc = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
+    for r in range(realizations):
+        g = substream(seed, "covariance-noise", r).standard_normal((2, count))
+        field = u @ (std * (g[0] + 1j * g[1]))
+        acc += np.outer(field, np.conj(field))
+    return (2j * k / realizations) * acc

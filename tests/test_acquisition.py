@@ -18,7 +18,7 @@ from passivelsm.acquisition import (
 )
 from passivelsm.geometry import BoundaryCurve, circle_points, discretize, place_scatterer
 
-from oracles import singular_values_power_iteration
+from oracles import covariance_outer_loop, singular_values_power_iteration
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +199,27 @@ class TestCovariance:
             return np.mean(errs)
 
         assert mean_err(800) < mean_err(200)
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+    def test_matches_per_realization_loop(self, ctx, kite_system, receivers, m):
+        # the blocked product must feed realization r the draw of its own
+        # (seed, "covariance-noise", r) stream, also across block edges
+        sources = make_sources(20, beta=0.3, seed=4)
+        cov = covariance_matrix(receivers, sources, SIGMA_LENGTH, m, 7, kite_system)
+        u = forward.total_field_matrix(kite_system, receivers.points, sources.points)
+        ref = (covariance_outer_loop(u, ctx.k, SIGMA_LENGTH, m, 7)
+               - imaginary_bracket(ctx, receivers))
+        assert np.abs(cov.entries - ref).max() <= 1e-13 * np.abs(ref).max()
+
+        shared = {
+            "k": ctx.k, "L": 20, "beta": 0.3,
+            "source_mode": sources.generation["mode"], "source_seed": 4,
+            "sigma_length": SIGMA_LENGTH, "noise_amplitude": 0.0, "delta": 0.0,
+            "receiver_generation": receivers.generation,
+        }
+        assert cov.provenance == {**shared, "M": m, "realization_seed": 7}
+        c = cross_correlation_matrix(receivers, sources, SIGMA_LENGTH, kite_system)
+        assert c.provenance == shared
 
     def test_single_realization_is_rank_one(self, ctx):
         system = forward.assemble_single_layer((), ctx)

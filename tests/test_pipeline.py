@@ -314,8 +314,13 @@ class TestRun:
                                         "noise", "invert", "write"}
         assert data["config"]["seed"] == 3
 
-    def test_rerun_byte_identical(self, tmp_path):
-        cfg = tiny_config(seed=11)
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # two full realization blocks and a remainder
+        {"matrix_kind": acquisition.COVARIANCE, "realizations": 300},
+    ], ids=["C", "covariance"])
+    def test_rerun_byte_identical(self, tmp_path, overrides):
+        cfg = tiny_config(seed=11, **overrides)
         run(cfg, tmp_path / "a")
         run(cfg, tmp_path / "b")
         for name in pipeline.OUTPUT_FILES:
