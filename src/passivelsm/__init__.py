@@ -40,14 +40,10 @@ from .forward import (
     GeometryError,
     PointScattererConfig,
     ResonanceWarning,
-    ScatterSolution,
     SingleLayerSystem,
     assemble_single_layer,
-    evaluate_scattered,
     mie_scattered_circle,
     point_scatterer_scattered,
-    solve_point_source,
-    total_field,
 )
 from .acquisition import (
     FieldMatrix,
@@ -61,14 +57,10 @@ from .inversion import (
     GridSpec,
     IndicatorMap,
     MorozovNoRootError,
-    ProbeResult,
     SvdFactors,
     indicator_map,
     morozov_alpha,
-    probe_point,
-    rhs_vector,
     svd,
-    tikhonov_gnorm,
     tikhonov_solve,
 )
 from .pipeline import ExperimentConfig, RunManifest, preset, run

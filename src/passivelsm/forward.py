@@ -133,12 +133,6 @@ class SingleLayerSystem:
         return np.concatenate([b.nodes for b in self.boundaries])
 
     @property
-    def weights(self) -> np.ndarray:
-        if not self.boundaries:
-            return np.zeros(0)
-        return np.concatenate([b.weights for b in self.boundaries])
-
-    @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
@@ -224,29 +218,6 @@ def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     return scipy.linalg.lu_solve(system.lu, rhs)
 
 
-@dataclass(frozen=True)
-class ScatterSolution:
-    """Boundary density for one point source, ready for field evaluation."""
-
-    system: SingleLayerSystem
-    source: np.ndarray
-    density: np.ndarray  # physical density psi at the nodes
-    charges: np.ndarray  # nu = weight * psi, what evaluation actually uses
-
-    @property
-    def ctx(self) -> WaveContext:
-        return self.system.ctx
-
-
-def solve_point_source(system: SingleLayerSystem, y) -> ScatterSolution:
-    """Solve the boundary equation S psi = -phi(., y) for a source y."""
-    y = np.asarray(y, dtype=float).reshape(2)
-    nu = solve_charges(system, y[None, :])[:, 0]
-    w = system.weights
-    density = nu / w if system.size else nu
-    return ScatterSolution(system=system, source=y, density=density, charges=nu)
-
-
 # ---------------------------------------------------------------------------
 # Field evaluation
 # ---------------------------------------------------------------------------
@@ -263,11 +234,6 @@ def _trig_resample(values: np.ndarray, factor: int) -> np.ndarray:
     out[h] = 0.5 * spec[h]
     out[m - h] += 0.5 * spec[h]
     return np.fft.ifft(out, axis=0) * factor
-
-
-def evaluate_scattered(solution: ScatterSolution, x) -> complex:
-    """Scattered field u_s(x) of one solved source (see scattered_matrix)."""
-    return complex(scattered_matrix(solution.system, solution.charges, x)[0, 0])
 
 
 def scattered_matrix(
@@ -317,11 +283,6 @@ def scattered_matrix(
             )
         out[near] += fine
     return out
-
-
-def total_field(system: SingleLayerSystem, x, y) -> complex:
-    """Total field u(x, y) = phi(x, y) + u_s(x, y); equals phi in free space."""
-    return complex(total_field_matrix(system, x, y)[0, 0])
 
 
 def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndarray:

@@ -73,11 +73,6 @@ def svd(matrix) -> SvdFactors:
     return SvdFactors(u=u, sigma=s, vh=vh)
 
 
-def rhs_vector(receivers: PointSet, z, ctx: WaveContext) -> np.ndarray:
-    """(phi_z)_j = phi(x_j, z); singular if z coincides with a receiver."""
-    return rhs_vectors(receivers, z, ctx)[:, 0]
-
-
 def rhs_vectors(receivers: PointSet, zs, ctx: WaveContext) -> np.ndarray:
     """Right-hand sides for many probe points, shape (J, P)."""
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -143,26 +138,13 @@ def morozov_alpha(factors: SvdFactors, b: np.ndarray, delta: float) -> float:
 
 
 def _tikhonov_norms(sigma: np.ndarray, b2: np.ndarray, alpha: np.ndarray):
-    """(||g||, residual) per column of b2 = |U* phi|^2, column c at alpha[c].
+    """||g|| per column of b2 = |U* phi|^2, column c at alpha[c].
 
     In the SVD basis the filter sigma/(alpha + sigma^2) gives the
-    coefficients of g, and alpha/(alpha + sigma^2) those of the residual.
+    coefficients of g.
     """
     denom = alpha[None, :] + (sigma ** 2)[:, None]
-    g_norm = np.sqrt((((sigma[:, None] / denom) ** 2) * b2).sum(axis=0))
-    residual = np.sqrt((((alpha[None, :] / denom) ** 2) * b2).sum(axis=0))
-    return g_norm, residual
-
-
-def tikhonov_gnorm(
-    factors: SvdFactors, phi_z: np.ndarray, alpha: float
-) -> tuple[float, float]:
-    """(||g||, residual) of the Tikhonov solution at parameter alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    b2 = np.abs(factors.u.conj().T @ np.asarray(phi_z)) ** 2
-    g_norm, residual = _tikhonov_norms(factors.sigma, b2[:, None], np.array([alpha]))
-    return float(g_norm[0]), float(residual[0])
+    return np.sqrt((((sigma[:, None] / denom) ** 2) * b2).sum(axis=0))
 
 
 def tikhonov_solve(factors: SvdFactors, phi_z: np.ndarray, alpha: float) -> np.ndarray:
@@ -172,26 +154,6 @@ def tikhonov_solve(factors: SvdFactors, phi_z: np.ndarray, alpha: float) -> np.n
     b = factors.u.conj().T @ np.asarray(phi_z)
     s = factors.sigma
     return factors.v @ (s / (alpha + s ** 2) * b)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Morozov-regularized probe of one sampling point."""
-
-    z: np.ndarray
-    alpha: float
-    g_norm: float
-    residual: float
-
-
-def probe_point(factors: SvdFactors, phi_z: np.ndarray, z, delta: float) -> ProbeResult:
-    """Solve one probe point end to end (Morozov alpha, then norms)."""
-    b = factors.u.conj().T @ np.asarray(phi_z)
-    alpha = morozov_alpha(factors, b, delta)
-    g_norm, residual = _tikhonov_norms(factors.sigma, (np.abs(b) ** 2)[:, None],
-                                       np.array([alpha]))
-    return ProbeResult(z=np.asarray(z, dtype=float), alpha=alpha,
-                       g_norm=float(g_norm[0]), residual=float(residual[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +246,7 @@ def indicator_map(
         b = factors.u.conj().T @ phi
         b2 = np.abs(b) ** 2
         alpha, solvable = _morozov_bisect_many(factors.sigma, b2, delta)
-        g_norm, _ = _tikhonov_norms(factors.sigma, b2, alpha)
+        g_norm = _tikhonov_norms(factors.sigma, b2, alpha)
         g_norm[~solvable] = 0.0
         values[probe] = g_norm
         ok[probe] = solvable

@@ -452,6 +452,11 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
     t0 = time.perf_counter()
     try:
         matrix = acquisition.add_noise(matrix, cfg.noise_amplitude, cfg.seed)
+        if not matrix.entries.any():
+            raise ValueError("the matrix is zero: nothing to image")
+        if matrix.delta == 0.0:
+            raise ValueError("delta = 0: Morozov's discrepancy principle "
+                             "needs noise.amplitude > 0")
     except Exception as exc:
         raise PipelineError("noise", str(exc)) from exc
     timings["noise"] = time.perf_counter() - t0

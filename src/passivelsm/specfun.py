@@ -44,12 +44,6 @@ class WaveContext:
     def wavelength(self) -> float:
         return 2.0 * np.pi / self.k
 
-    @classmethod
-    def from_wavelength(cls, wavelength: float) -> "WaveContext":
-        if not wavelength > 0.0:
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        return cls(k=2.0 * np.pi / wavelength)
-
 
 def _j(n: int, x):
     return scipy.special.j0(x) if n == 0 else scipy.special.jv(n, x)

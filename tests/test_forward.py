@@ -11,13 +11,10 @@ from passivelsm.forward import (
     ResonanceWarning,
     TruncationWarning,
     assemble_single_layer,
-    evaluate_scattered,
     mie_scattered_circle,
     point_scatterer_scattered,
     scattered_matrix,
     solve_charges,
-    solve_point_source,
-    total_field,
     total_field_matrix,
 )
 from passivelsm.geometry import BoundaryCurve, discretize, place_scatterer
@@ -70,7 +67,7 @@ class TestAssembly:
     def test_empty_system(self, ctx):
         system = assemble_single_layer((), ctx)
         assert system.size == 0
-        assert total_field(system, (1.0, 0.0), (3.0, 0.0)) == pytest.approx(
+        assert total_field_matrix(system, (1.0, 0.0), (3.0, 0.0))[0, 0] == pytest.approx(
             green2d(ctx, (1.0, 0.0), (3.0, 0.0))
         )
 
@@ -78,41 +75,35 @@ class TestAssembly:
 class TestSolve:
     def test_boundary_residual(self, kite_system, ctx):
         y = np.array([5.0, 0.0])
-        sol = solve_point_source(kite_system, y)
+        charges = solve_charges(kite_system, y)[:, 0]
         rhs = -green2d(ctx, kite_system.nodes, y)
-        resid = kite_system.matrix @ sol.charges - rhs
+        resid = kite_system.matrix @ charges - rhs
         assert np.abs(resid).max() < 1e-8 * np.abs(rhs).max()
-
-    def test_density_is_charge_over_weight(self, kite_system):
-        sol = solve_point_source(kite_system, (5.0, 0.0))
-        np.testing.assert_allclose(
-            sol.density * kite_system.weights, sol.charges, rtol=1e-13
-        )
 
     def test_source_inside_rejected(self, kite_system):
         with pytest.raises(GeometryError):
-            solve_point_source(kite_system, (2.0, 2.0))
+            solve_charges(kite_system, (2.0, 2.0))
 
     def test_source_too_close_rejected(self, kite_system, ctx):
         boundary_point = kite_system.boundaries[0].nodes[0]
         normal = kite_system.boundaries[0].normals[0]
         y = boundary_point + 1e-4 * ctx.wavelength * normal
         with pytest.raises(GeometryError):
-            solve_point_source(kite_system, y)
+            solve_charges(kite_system, y)
 
 
 class TestEvaluation:
     def test_total_field_vanishes_approaching_boundary(self, kite_system, ctx):
         bnd = kite_system.boundaries[0]
         y = np.array([5.0, 0.0])
-        sol = solve_point_source(kite_system, y)
+        charges = solve_charges(kite_system, y)
         base = bnd.nodes[7]
         normal = bnd.normals[7]
         scale = abs(green2d(ctx, base + 0.5 * normal, y))
         vals = []
         for eps in (2e-2, 1e-2, 5e-3):
             x = base + eps * normal
-            u = green2d(ctx, x, y) + evaluate_scattered(sol, x)
+            u = green2d(ctx, x, y) + scattered_matrix(kite_system, charges, x)[0, 0]
             vals.append(abs(u))
         # vanishes linearly in the distance to the sound-soft boundary
         assert vals[0] < 0.25 * scale
@@ -125,41 +116,41 @@ class TestEvaluation:
         # a node spacing trips the conservative accuracy warning by design
         bnd = kite_system.boundaries[0]
         y = np.array([4.0, -1.0])
-        sol = solve_point_source(kite_system, y)
+        charges = solve_charges(kite_system, y)
         x = bnd.nodes[33] + 1e-3 * bnd.normals[33]
         with pytest.warns(forward.AccuracyWarning):
-            us = evaluate_scattered(sol, x)
+            us = scattered_matrix(kite_system, charges, x)[0, 0]
         assert abs(us + green2d(ctx, x, y)) < 2e-2 * abs(green2d(ctx, x, y))
 
     def test_reciprocity(self, kite_system):
         a = np.array([5.0, 0.3])
         b = np.array([-1.0, 4.2])
-        uab = total_field(kite_system, a, b)
-        uba = total_field(kite_system, b, a)
+        uab = total_field_matrix(kite_system, a, b)[0, 0]
+        uba = total_field_matrix(kite_system, b, a)[0, 0]
         assert uab == pytest.approx(uba, rel=1e-6)
 
     def test_radiation_decay(self, kite_system):
         direction = np.array([math.cos(0.3), math.sin(0.3)])
         y = np.array([5.0, 0.0])
-        sol = solve_point_source(kite_system, y)
+        charges = solve_charges(kite_system, y)
         amps = []
         for radius in (100.0, 300.0, 900.0):
-            us = evaluate_scattered(sol, radius * direction)
+            us = scattered_matrix(kite_system, charges, radius * direction)[0, 0]
             amps.append(abs(us) * math.sqrt(radius))
         # sqrt(R)-scaled magnitude settles toward a constant
         assert abs(amps[2] - amps[1]) < abs(amps[1] - amps[0])
         assert amps[2] == pytest.approx(amps[1], rel=1e-2)
 
     def test_matrix_and_pointwise_evaluation_agree(self, kite_system):
+        # each batch entry equals its batch-of-one call
         sources = np.array([[5.0, 0.0], [0.0, 5.0]])
         points = np.array([[3.0, -1.0], [-2.0, 0.5]])
         charges = solve_charges(kite_system, sources)
         mat = scattered_matrix(kite_system, charges, points)
         for i, p in enumerate(points):
             for s in range(2):
-                sol = solve_point_source(kite_system, sources[s])
                 assert mat[i, s] == pytest.approx(
-                    evaluate_scattered(sol, p), rel=1e-12
+                    scattered_matrix(kite_system, charges[:, [s]], [p])[0, 0], rel=1e-12
                 )
 
 
@@ -284,8 +275,8 @@ class TestMultipleScatterers:
         m = system.matrix
         assert np.linalg.norm(m - m.T) / np.linalg.norm(m) < 1e-10
         a, b = np.array([0.0, 3.0]), np.array([3.0, -2.0])
-        assert total_field(system, a, b) == pytest.approx(
-            total_field(system, b, a), rel=1e-8
+        assert total_field_matrix(system, a, b)[0, 0] == pytest.approx(
+            total_field_matrix(system, b, a)[0, 0], rel=1e-8
         )
 
 
@@ -311,7 +302,7 @@ class TestHelmholtzKirchhoff:
     def test_identity_for_total_fields(self, kite_system, ctx):
         x = np.array([1.2, -0.7])
         y = np.array([-2.3, 0.4])
-        u_ref = total_field(kite_system, x, y)
+        u_ref = total_field_matrix(kite_system, x, y)[0, 0]
         lhs = u_ref - np.conj(u_ref)
         errors = []
         for radius in (25.0, 50.0, 100.0):

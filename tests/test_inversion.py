@@ -9,10 +9,8 @@ from passivelsm.inversion import (
     SvdFactors,
     indicator_map,
     morozov_alpha,
-    probe_point,
-    rhs_vector,
+    rhs_vectors,
     svd,
-    tikhonov_gnorm,
     tikhonov_solve,
     write_indicator_csv,
     write_indicator_pgm,
@@ -73,24 +71,24 @@ def receivers():
 class TestRhsVector:
     def test_matches_green2d(self, receivers, ctx):
         z = np.array([0.7, -0.3])
-        vec = rhs_vector(receivers, z, ctx)
+        vec = rhs_vectors(receivers, z, ctx)[:, 0]
         for j, x in enumerate(receivers.points):
             assert vec[j] == pytest.approx(green2d(ctx, x, z), rel=1e-14)
 
     def test_magnitude_is_quarter_hankel(self, receivers, ctx):
         z = np.array([1.0, 1.0])
-        vec = rhs_vector(receivers, z, ctx)
+        vec = rhs_vectors(receivers, z, ctx)[:, 0]
         d = np.sqrt(((receivers.points - z) ** 2).sum(axis=1))
         expected = 0.25 * np.abs([hankel1(0, ctx.k * di) for di in d])
         np.testing.assert_allclose(np.abs(vec), expected, rtol=1e-12)
 
     def test_center_gives_equal_entries(self, receivers, ctx):
-        vec = rhs_vector(receivers, (0.0, 0.0), ctx)
+        vec = rhs_vectors(receivers, (0.0, 0.0), ctx)[:, 0]
         np.testing.assert_allclose(vec, vec[0], rtol=1e-12)
 
     def test_singularity_at_receiver(self, receivers, ctx):
         with pytest.raises(SingularityError):
-            rhs_vector(receivers, receivers.points[3], ctx)
+            rhs_vectors(receivers, receivers.points[3], ctx)
 
 
 class TestMorozov:
@@ -140,6 +138,13 @@ class TestMorozov:
             morozov_alpha(f, np.ones(3, dtype=complex), 0.0)
 
 
+def tikhonov_norms(f, phi, alpha):
+    """(||g||, ||A g - phi||) for g = tikhonov_solve, with A = U diag(sigma) V*."""
+    g = tikhonov_solve(f, phi, alpha)
+    a = (f.u * f.sigma) @ f.vh
+    return np.linalg.norm(g), np.linalg.norm(a @ g - phi)
+
+
 @pytest.fixture(scope="module")
 def problem():
     rng = np.random.default_rng(4)
@@ -150,32 +155,34 @@ def problem():
 class TestTikhonov:
     def test_alpha_to_infinity(self, problem):
         f, phi = problem
-        g_norm, residual = tikhonov_gnorm(f, phi, 1e12)
+        g_norm, residual = tikhonov_norms(f, phi, 1e12)
         assert g_norm < 1e-9
         assert residual == pytest.approx(np.linalg.norm(phi), rel=1e-9)
 
     def test_alpha_to_zero_full_rank(self, problem):
         f, phi = problem
-        g_norm, residual = tikhonov_gnorm(f, phi, 1e-14)
+        g_norm, residual = tikhonov_norms(f, phi, 1e-14)
         assert residual < 1e-10 * np.linalg.norm(phi)
 
     def test_identity_matrix_half_filter(self):
         f = svd(np.eye(7, dtype=complex))
         phi = np.full(7, 1.0 + 0.0j)
-        g_norm, _ = tikhonov_gnorm(f, phi, 1.0)
+        g_norm, _ = tikhonov_norms(f, phi, 1.0)
         assert g_norm == pytest.approx(np.linalg.norm(phi) / 2.0, rel=1e-12)
 
     def test_monotonicity_in_alpha(self, problem):
         f, phi = problem
         alphas = np.logspace(-6, 4, 30)
-        norms, residuals = zip(*(tikhonov_gnorm(f, phi, a) for a in alphas))
+        norms, residuals = zip(*(tikhonov_norms(f, phi, a) for a in alphas))
         assert np.all(np.diff(norms) < 0)
         assert np.all(np.diff(residuals) > 0)
 
     def test_solve_matches_gnorm(self, problem):
         f, phi = problem
+        # the SVD-basis norm the indicator map uses is ||g|| of the solution
         g = tikhonov_solve(f, phi, 0.37)
-        g_norm, _ = tikhonov_gnorm(f, phi, 0.37)
+        b2 = np.abs(f.u.conj().T @ phi) ** 2
+        g_norm = inversion._tikhonov_norms(f.sigma, b2[:, None], np.array([0.37]))[0]
         assert np.linalg.norm(g) == pytest.approx(g_norm, rel=1e-12)
 
 
@@ -186,9 +193,10 @@ class TestProbePoint:
         f = svd(a)
         phi = random_complex(rng, 12)
         delta = 0.05 * float(f.sigma.max())
-        res = probe_point(f, phi, (0.0, 0.0), delta)
-        assert abs(res.residual ** 2 - delta ** 2 * res.g_norm ** 2) <= (
-            1e-6 * delta ** 2 * res.g_norm ** 2
+        alpha = morozov_alpha(f, f.u.conj().T @ phi, delta)
+        g_norm, residual = tikhonov_norms(f, phi, alpha)
+        assert abs(residual ** 2 - delta ** 2 * g_norm ** 2) <= (
+            1e-6 * delta ** 2 * g_norm ** 2
         )
 
 
@@ -245,7 +253,7 @@ class TestIndicatorMap:
             indicator_map(matrix, self.GRID, ctx)
 
     def test_probe_consistency_with_scalar_path(self, ctx):
-        """The vectorized map agrees with probe_point at every grid cell."""
+        """The vectorized map agrees with a per-cell Morozov solve."""
         rng = np.random.default_rng(9)
         receivers = circle_points(5.0, 8)
         entries = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -254,10 +262,11 @@ class TestIndicatorMap:
         imap = indicator_map(matrix, grid, ctx)
         f = svd(matrix)
         for idx, z in enumerate(grid.points()):
-            phi = rhs_vector(receivers, z, ctx)
-            res = probe_point(f, phi, z, 0.03)
+            phi = rhs_vectors(receivers, z, ctx)[:, 0]
+            alpha = morozov_alpha(f, f.u.conj().T @ phi, 0.03)
+            g_norm = np.linalg.norm(tikhonov_solve(f, phi, alpha))
             ix, iy = np.unravel_index(idx, (5, 5))
-            assert imap.values[ix, iy] == pytest.approx(res.g_norm, rel=1e-9)
+            assert imap.values[ix, iy] == pytest.approx(g_norm, rel=1e-9)
 
     def test_cell_on_a_receiver_is_left_out(self, ctx):
         rng = np.random.default_rng(11)
@@ -267,7 +276,7 @@ class TestIndicatorMap:
         on_receiver = (grid.points() == receivers.points[0]).all(axis=1)
         assert on_receiver.sum() == 1
         with pytest.raises(SingularityError):
-            rhs_vector(receivers, grid.points()[on_receiver][0], ctx)
+            rhs_vectors(receivers, grid.points()[on_receiver][0], ctx)
         imap = indicator_map(matrix, grid, ctx)
         assert not imap.mask.ravel()[on_receiver].any()
         assert imap.values.ravel()[on_receiver] == 0.0

@@ -262,11 +262,11 @@ class TestExecute:
             pipeline.execute(tiny_config(source_mode=mode))
         assert err.value.stage == "geometry"
 
-    def test_zero_noise_fails_in_invert_stage(self):
+    def test_zero_noise_fails_in_noise_stage(self):
         cfg = tiny_config(noise_amplitude=0.0)
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(PipelineError, match="noise.amplitude > 0") as err:
             pipeline.execute(cfg)
-        assert err.value.stage == "invert"
+        assert err.value.stage == "noise"
 
     def test_near_field_and_imaginary_kinds(self):
         for kind in (acquisition.NEAR_FIELD, acquisition.IMAGINARY_NEAR_FIELD):
@@ -283,12 +283,12 @@ class TestExecute:
 
     def test_none_scatterer_gives_zero_matrix(self):
         # no scatterer -> N = 0, so the entry-scaled noise is zero too and
-        # the Morozov probe (which needs delta > 0) reports the failure
+        # the noise stage rejects the run before inversion
         cfg = tiny_config(scatterer_kind="none",
                           matrix_kind=acquisition.NEAR_FIELD)
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(PipelineError, match="the matrix is zero") as err:
             pipeline.execute(cfg)
-        assert err.value.stage == "invert"
+        assert err.value.stage == "noise"
         matrix = acquisition.near_field_matrix(
             geometry.circle_points(5.0, 12),
             forward.assemble_single_layer((), cfg.ctx),
@@ -385,7 +385,19 @@ class TestCli:
             "--set", "grid.nx=8", "--set", "grid.ny=8",
         ])
         assert rc == 1
-        assert "invert" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: [noise]") and "noise.amplitude > 0" in err
+
+    def test_zero_matrix_run_fails_in_noise_stage(self, tmp_path, capsys):
+        rc = cli.main([
+            "run", "--preset", "kite-N", "--out", str(tmp_path),
+            "--set", "scatterer.kind=none",
+            "--set", "receivers.count=12",
+            "--set", "grid.nx=8", "--set", "grid.ny=8",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: [noise] the matrix is zero: nothing to image\n")
 
     @pytest.mark.parametrize("argv, stage", [
         (["--preset", "kite-C", "--set", "noise.amplitud=0.1"], "config"),

@@ -32,14 +32,11 @@ class TestWaveContext:
             ctx = WaveContext(k=k)
             assert ctx.k * ctx.wavelength == pytest.approx(2 * np.pi, abs=1e-14)
 
-    def test_from_wavelength(self):
-        assert WaveContext.from_wavelength(1.0).k == pytest.approx(2 * np.pi)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             WaveContext(k=0.0)
         with pytest.raises(ValueError):
-            WaveContext.from_wavelength(-1.0)
+            WaveContext(k=-1.0)
 
 
 class TestSeriesOracleValues:
