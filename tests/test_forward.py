@@ -80,6 +80,16 @@ class TestSolve:
         resid = kite_system.matrix @ charges - rhs
         assert np.abs(resid).max() < 1e-8 * np.abs(rhs).max()
 
+    def test_batch_columns_match_single_source_solves(self, kite_system):
+        # each column of a batched solve equals its batch-of-one solve
+        sources = np.array([[5.0, 0.0], [0.0, 5.0], [-4.0, -3.0]])
+        charges = solve_charges(kite_system, sources)
+        assert charges.shape == (kite_system.size, len(sources))
+        for s, y in enumerate(sources):
+            np.testing.assert_allclose(
+                charges[:, s], solve_charges(kite_system, y)[:, 0], rtol=1e-12
+            )
+
     def test_source_inside_rejected(self, kite_system):
         with pytest.raises(GeometryError):
             solve_charges(kite_system, (2.0, 2.0))

@@ -38,6 +38,11 @@ class TestWaveContext:
         with pytest.raises(ValueError):
             WaveContext(k=-1.0)
 
+    def test_rejects_nonfinite(self):
+        for k in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                WaveContext(k=k)
+
 
 class TestSeriesOracleValues:
     def test_j0_at_one(self):
