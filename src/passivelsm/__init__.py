@@ -17,15 +17,7 @@ def _apply_thread_cap() -> None:
 
 _apply_thread_cap()
 
-from .specfun import (
-    DomainError,
-    SingularityError,
-    WaveContext,
-    bessel_j,
-    bessel_y,
-    green2d,
-    hankel1,
-)
+from .specfun import SingularityError, WaveContext, green2d, hankel1_orders
 from .geometry import (
     BoundaryCurve,
     DiscretizedBoundary,

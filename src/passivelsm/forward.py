@@ -28,14 +28,7 @@ import scipy.linalg
 import scipy.special
 
 from .geometry import DiscretizedBoundary, boundary_distance, contains_points
-from .specfun import (
-    MAX_ORDER,
-    WaveContext,
-    bessel_jn,
-    bessel_yn,
-    green2d,
-    hankel1_all,
-)
+from .specfun import WaveContext, green2d, hankel1_orders
 
 logger = logging.getLogger(__name__)
 
@@ -307,12 +300,11 @@ def mie_scattered_circle(
 
     polar coordinates about the circle center.  Truncation defaults to
     ceil(ka) + 20; a TruncationWarning is emitted if the last term is not
-    below 1e-12 of the running sum.  `x` may be an array of points.
+    below 1e-12 of the running sum.  One value per point of `x`, shape
+    (P,); a single point is a batch of one.
     """
     center = np.asarray(center, dtype=float).reshape(2)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 1
-    xs = np.atleast_2d(xs)
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(2)
     rel_x = xs - center
     rel_y = y - center
@@ -323,16 +315,13 @@ def mie_scattered_circle(
     if r_y < limit or np.any(r_x < limit):
         raise GeometryError("Mie evaluation requires points outside the circle")
     ka = ctx.k * radius
-    nmax = int(math.ceil(ka)) + 20 if truncation is None else int(truncation)
-    if nmax > MAX_ORDER:
-        raise ValueError(
-            f"Mie truncation {nmax} exceeds the supported order cap {MAX_ORDER}"
-        )
-    ja = bessel_jn(nmax, np.array([ka]))[:, 0]
-    ya = bessel_yn(nmax, np.array([ka]))[:, 0]
-    ratio = ja / (ja + 1j * ya)
-    hx = hankel1_all(nmax, ctx.k * r_x)
-    hy = hankel1_all(nmax, np.array([ctx.k * r_y]))[:, 0]
+    nmax = int(math.ceil(ka)) + 20 if truncation is None else truncation
+    if not isinstance(nmax, (int, np.integer)) or nmax < 0:
+        raise ValueError(f"Mie truncation must be a non-negative integer, got {nmax!r}")
+    ha = hankel1_orders(nmax, ka)
+    ratio = ha.real / ha
+    hx = hankel1_orders(nmax, ctx.k * r_x)
+    hy = hankel1_orders(nmax, ctx.k * r_y)
     theta_x = np.arctan2(rel_x[:, 1], rel_x[:, 0])
     theta_y = math.atan2(rel_y[1], rel_y[0])
     acc = ratio[0] * hx[0] * hy[0]
@@ -350,8 +339,7 @@ def mie_scattered_circle(
             TruncationWarning,
             stacklevel=2,
         )
-    out = -0.25j * acc
-    return complex(out[0]) if scalar else out
+    return -0.25j * acc
 
 
 @dataclass(frozen=True)
@@ -382,14 +370,13 @@ def point_scatterer_scattered(
 ):
     """Born-type scattered field of small circles (no multiple scattering).
 
-        u_s(x, y) ~ sum_l lambda_l phi(c_l, y) phi(x, c_l).
+        u_s(x, y) ~ sum_l lambda_l phi(c_l, y) phi(x, c_l),
+
+    one value per point of `x`, shape (P,).
     """
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 1
-    xs = np.atleast_2d(xs)
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(2)
     lam = config.reflection_coefficients(ctx)
     phi_cy = green2d(ctx, config.centers, y)          # (L,)
     phi_xc = green2d(ctx, xs[:, None, :], config.centers[None, :, :])  # (P, L)
-    out = phi_xc @ (lam * phi_cy)
-    return complex(out[0]) if scalar else out
+    return phi_xc @ (lam * phi_cy)

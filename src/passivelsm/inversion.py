@@ -57,10 +57,6 @@ class SvdFactors:
     def v(self) -> np.ndarray:
         return self.vh.conj().T
 
-    @property
-    def size(self) -> int:
-        return len(self.sigma)
-
 
 def svd(matrix) -> SvdFactors:
     """Full SVD of a FieldMatrix or square complex array."""
@@ -209,22 +205,18 @@ def indicator_map(
     matrix: FieldMatrix,
     grid: GridSpec,
     ctx: WaveContext,
-    receivers: Optional[PointSet] = None,
-    delta: Optional[float] = None,
     mask_radius: Optional[float] = None,
-    rhs_mode: tuple = (1.0, 0.0),
 ) -> IndicatorMap:
     """Probe the medium on `grid` with per-point Morozov regularization.
 
-    One SVD is computed per matrix; all probe points share it.  Points
+    The receivers and the noise level delta are the matrix's own.  One
+    SVD is computed per matrix; all probe points share it.  Points
     outside the mask radius (default: the receiver circle radius) are
     skipped; points whose discrepancy equation has no root are recorded
-    as failures in the mask.  rhs_mode = (a, b) probes with
-    a*phi_z + b*conj(phi_z); the default is the plain point-source
-    right-hand side.
+    as failures in the mask.
     """
-    receivers = receivers if receivers is not None else matrix.receivers
-    delta = matrix.delta if delta is None else float(delta)
+    receivers = matrix.receivers
+    delta = matrix.delta
     if delta <= 0:
         raise ValueError("indicator_map requires a positive noise level delta")
     if mask_radius is None:
@@ -240,9 +232,6 @@ def indicator_map(
     ok = np.zeros(len(pts), dtype=bool)
     if probe.any():
         phi = rhs_vectors(receivers, pts[probe], ctx)
-        a, bcoef = rhs_mode
-        if bcoef != 0.0 or a != 1.0:
-            phi = a * phi + bcoef * np.conj(phi)
         b = factors.u.conj().T @ phi
         b2 = np.abs(b) ** 2
         alpha, solvable = _morozov_bisect_many(factors.sigma, b2, delta)

@@ -126,9 +126,6 @@ class ExperimentConfig:
             nx=self.grid_nx, ny=self.grid_ny,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     # -- INI round trip ---------------------------------------------------
     def to_ini(self) -> str:
         """Every key of every field; an arc that is None is left out."""
@@ -188,12 +185,6 @@ class ExperimentConfig:
                     d if r is None else _read(0.0, section, key, r)
                     for key, r, d in zip(keys, raw, f.default or raw))
         return cls(**values)
-
-    def apply_override(self, dotted_key: str, value: str) -> None:
-        """Apply a CLI `section.key=value` override onto this config."""
-        updated = ExperimentConfig.from_ini(self.to_ini(), [(dotted_key, value)])
-        for f in fields(self):
-            setattr(self, f.name, getattr(updated, f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +290,6 @@ def preset(name: str) -> ExperimentConfig:
         return cfg
 
     raise ValueError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = (
-    "ellipse-N", "ellipse-I", "ellipse-C", "kite-N", "kite-I", "kite-C",
-    "kite-beta(beta,L)", "wavenumber(k,J)", "setup2(M)",
-    "limited-aperture(kind)", "point-scatterers",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +448,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
     t0 = time.perf_counter()
     try:
         indicator = inversion.indicator_map(
-            matrix, cfg.grid_spec(), ctx, receivers=receivers,
-            mask_radius=cfg.mask_radius,
-        )
+            matrix, cfg.grid_spec(), ctx, mask_radius=cfg.mask_radius)
     except Exception as exc:
         raise PipelineError("invert", str(exc)) from exc
     if not indicator.mask.any():
@@ -520,7 +502,7 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
     files = {name: _sha256(out / name) for name in OUTPUT_FILES}
     manifest = RunManifest(
         version=VERSION,
-        config=config.to_dict(),
+        config=asdict(config),
         seed=config.seed,
         delta=art.matrix.delta,
         timings={k: round(v, 6) for k, v in art.timings.items()},

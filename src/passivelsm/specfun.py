@@ -1,11 +1,14 @@
-"""Bessel and Hankel functions plus the 2D Helmholtz Green's function.
+"""Cylinder functions and the 2D Helmholtz Green's function.
 
-Everything downstream (boundary integral kernels, the Mie series, the
-probing right-hand sides) reduces to cylinder functions of integer order
-on the supported domain: orders 0..60, arguments in (0, 1e4].
+Two kernels, both thin layers over scipy.special:
 
-J_0/Y_0 come from scipy.special.j0/y0 and higher orders from jv/yv;
-scipy.special.hankel1 (AMOS) is not used because it is slower than j0 + y0.
+- hankel1_orders: H_0^(1)..H_nmax^(1) of real arguments stacked by
+  order (jv/yv), for the Mie series and its checks;
+- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0, the one kernel path of
+  the forward solver and the probing right-hand sides.
+
+scipy.special.hankel1 (AMOS) is not used: it is slower than j0 + y0 and
+returns nan where Y_n overflows.
 """
 
 from __future__ import annotations
@@ -15,15 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-MAX_ORDER = 60
-MAX_ARGUMENT = 1.0e4
-
 # Relative distance below which two points count as coincident.
 SINGULARITY_FACTOR = 1e-14
-
-
-class DomainError(ValueError):
-    """Argument outside the supported (order, argument) domain."""
 
 
 class SingularityError(ValueError):
@@ -45,85 +41,19 @@ class WaveContext:
         return 2.0 * np.pi / self.k
 
 
-def _j(n: int, x):
-    return scipy.special.j0(x) if n == 0 else scipy.special.jv(n, x)
+def hankel1_orders(nmax: int, x) -> np.ndarray:
+    """H_0^(1)(x)..H_nmax^(1)(x) = J_n + i Y_n stacked on a new first axis.
 
-
-def _y(n: int, x):
-    return scipy.special.y0(x) if n == 0 else scipy.special.yv(n, x)
-
-
-def _h(j, y):
-    """J + iY, built componentwise so an overflowed Y = -inf keeps Re = J."""
-    out = np.empty(np.shape(j), dtype=complex)
-    out.real = j
-    out.imag = y
+    One jv and one yv call over the broadcast order axis.  The result is
+    built componentwise, so a Y_n beyond double range (Y_60(1e-4)) is
+    -inf with Re = J_n, where scipy.special.hankel1 gives nan.
+    """
+    x = np.asarray(x, dtype=float)
+    n = np.arange(nmax + 1).reshape((-1,) + (1,) * x.ndim)
+    out = np.empty((nmax + 1,) + x.shape, dtype=complex)
+    out.real = scipy.special.jv(n, x)
+    out.imag = scipy.special.yv(n, x)
     return out
-
-
-def _all_orders(kernel, nmax: int, x) -> np.ndarray:
-    return np.array([kernel(n, x) for n in range(nmax + 1)])
-
-
-# ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
-def _validate(n: int, x) -> np.ndarray:
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if n < 0 or n > MAX_ORDER:
-        raise DomainError(f"order must be in [0, {MAX_ORDER}], got {n}")
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr > MAX_ARGUMENT)):
-        raise DomainError(f"argument must lie in (0, {MAX_ARGUMENT:g}]")
-    return arr
-
-
-def bessel_j(n: int, x):
-    """Bessel function of the first kind J_n(x).
-
-    Supports integer orders 0..60 and real x in (0, 1e4], scalar or
-    array; absolute accuracy 1e-10 or better on that domain.
-    """
-    arr = _validate(n, x)
-    vals = _j(n, arr)
-    return float(vals) if arr.ndim == 0 else vals
-
-
-def bessel_y(n: int, x):
-    """Bessel function of the second kind Y_n(x); domain as bessel_j.
-
-    Values beyond double range, such as Y_60(1e-4), are -inf.
-    """
-    arr = _validate(n, x)
-    vals = _y(n, arr)
-    return float(vals) if arr.ndim == 0 else vals
-
-
-def hankel1(n: int, x):
-    """Hankel function of the first kind, H_n^(1) = J_n + i Y_n."""
-    arr = _validate(n, x)
-    vals = _h(_j(n, arr), _y(n, arr))
-    return complex(vals) if arr.ndim == 0 else vals
-
-
-def bessel_jn(nmax: int, x) -> np.ndarray:
-    """J_0(x)..J_nmax(x) stacked along the first axis (x flattened)."""
-    arr = _validate(nmax, x)
-    return _all_orders(_j, nmax, arr.ravel())
-
-
-def bessel_yn(nmax: int, x) -> np.ndarray:
-    """Y_0(x)..Y_nmax(x) stacked along the first axis (x flattened)."""
-    arr = _validate(nmax, x)
-    return _all_orders(_y, nmax, arr.ravel())
-
-
-def hankel1_all(nmax: int, x) -> np.ndarray:
-    """H_0^(1)(x)..H_nmax^(1)(x) stacked along the first axis."""
-    arr = _validate(nmax, x)
-    flat = arr.ravel()
-    return _h(_all_orders(_j, nmax, flat), _all_orders(_y, nmax, flat))
 
 
 def green2d(ctx: WaveContext, x, y):

@@ -212,8 +212,8 @@ class TestMie:
     def test_symmetry(self, ctx):
         a = np.array([3.0, 1.0])
         b = np.array([-2.0, 2.5])
-        uab = mie_scattered_circle(ctx, 0.25, (0.3, -0.2), a, b)
-        uba = mie_scattered_circle(ctx, 0.25, (0.3, -0.2), b, a)
+        uab = mie_scattered_circle(ctx, 0.25, (0.3, -0.2), a, b)[0]
+        uba = mie_scattered_circle(ctx, 0.25, (0.3, -0.2), b, a)[0]
         assert uab == pytest.approx(uba, rel=1e-12)
 
     def test_matches_nystrom(self, ctx):
@@ -234,6 +234,12 @@ class TestMie:
                                  np.array([1.0, 0.0]), np.array([0.0, 2.0]),
                                  truncation=2)
 
+    def test_rejects_negative_truncation(self, ctx):
+        with pytest.raises(ValueError):
+            mie_scattered_circle(ctx, 0.25, (0.0, 0.0),
+                                 np.array([1.0, 0.0]), np.array([0.0, 2.0]),
+                                 truncation=-1)
+
     def test_rejects_interior_points(self, ctx):
         with pytest.raises(GeometryError):
             mie_scattered_circle(ctx, 0.25, (0.0, 0.0),
@@ -246,8 +252,8 @@ class TestPointScatterer:
                                       radii=[0.01, 0.02])
         a = np.array([3.0, 0.5])
         b = np.array([-2.0, 1.5])
-        assert point_scatterer_scattered(config, ctx, a, b) == pytest.approx(
-            point_scatterer_scattered(config, ctx, b, a), rel=1e-12
+        assert point_scatterer_scattered(config, ctx, a, b)[0] == pytest.approx(
+            point_scatterer_scattered(config, ctx, b, a)[0], rel=1e-12
         )
 
     def test_reflection_shrinks_logarithmically(self, ctx):

@@ -107,9 +107,8 @@ class TestConfigSerialization:
         assert restored == cfg
 
     def test_override(self):
-        cfg = preset("kite-C")
-        cfg.apply_override("noise.amplitude", "0.1")
-        cfg.apply_override("sources.count", "40")
+        cfg = ExperimentConfig.from_ini(preset("kite-C").to_ini(), [
+            ("noise.amplitude", "0.1"), ("sources.count", "40")])
         assert cfg.noise_amplitude == pytest.approx(0.1)
         assert cfg.source_count == 40
 
@@ -373,7 +372,7 @@ class TestCli:
         assert rc == 0
         data = json.loads((tmp_path / "o" / "manifest.json").read_text())
         # JSON round trip renders tuples as lists
-        assert data["config"] == json.loads(json.dumps(cfg.to_dict()))
+        assert data["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
 
     def test_run_failure_exit_code(self, tmp_path, capsys):
         rc = cli.main([
