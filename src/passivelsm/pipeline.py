@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -306,11 +307,7 @@ _CURVE_BUILDERS = {
 class RunArtifacts:
     """In-memory results of one experiment, before any file output."""
 
-    config: ExperimentConfig
     curve: Optional[geometry.BoundaryCurve]
-    point_config: Optional[forward.PointScattererConfig]
-    receivers: geometry.PointSet
-    sources: Optional[geometry.PointSet]
     matrix: acquisition.FieldMatrix
     indicator: inversion.IndicatorMap
     timings: dict
@@ -345,6 +342,26 @@ def _sigma_length(cfg: ExperimentConfig) -> float:
     return cfg.source_radius * (cfg.source_arc[1] - cfg.source_arc[0])
 
 
+@contextmanager
+def _stage(name: str, timings: dict):
+    """Time one stage into `timings[name]` and tag what it raises.
+
+    A PipelineError passes through unchanged; a forward.GeometryError is
+    tagged "geometry" (the acquisition builders make the run's only
+    exterior check) and any other exception `name`.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except forward.GeometryError as exc:
+        raise PipelineError("geometry", str(exc)) from exc
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
+    timings[name] = time.perf_counter() - t0
+
+
 def execute(config: ExperimentConfig) -> RunArtifacts:
     """Run geometry -> acquisition -> noise -> inversion in memory."""
     cfg = config
@@ -353,8 +370,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
         acquisition.CROSS_CORRELATION, acquisition.COVARIANCE
     )
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("geometry", timings):
         ctx = cfg.ctx
         receivers = geometry.circle_points(
             cfg.receiver_radius, cfg.receiver_count, beta=0.0,
@@ -378,12 +394,8 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             curve = geometry.place_scatterer(
                 builder(), ctx, cfg.scatterer_center, cfg.scatterer_size
             )
-    except Exception as exc:
-        raise PipelineError("geometry", str(exc)) from exc
-    timings["geometry"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("assemble", timings):
         system = None
         if curve is not None:
             n = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
@@ -392,26 +404,19 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             system = forward.assemble_single_layer(geometry.discretize(curve, n), ctx)
         elif cfg.scatterer_kind == "none":
             system = forward.assemble_single_layer((), ctx)
-    except Exception as exc:
-        raise PipelineError("assemble", str(exc)) from exc
-    timings["assemble"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
-        if point_config is not None:
-            matrix = acquisition.point_scatterer_near_field(receivers, point_config, ctx)
+    with _stage("acquire", timings):
+        if cfg.matrix_kind in (acquisition.NEAR_FIELD, acquisition.IMAGINARY_NEAR_FIELD):
+            if point_config is not None:
+                matrix = acquisition.point_scatterer_near_field(receivers, point_config, ctx)
+            else:
+                matrix = acquisition.near_field_matrix(receivers, system)
             if cfg.matrix_kind == acquisition.IMAGINARY_NEAR_FIELD:
                 matrix = acquisition.imaginary_near_field_matrix(matrix)
-            elif cfg.matrix_kind != acquisition.NEAR_FIELD:
-                raise ValueError(
-                    "point-scatterer runs support near-field and imaginary "
-                    f"near-field matrices, not {cfg.matrix_kind}"
-                )
-        elif cfg.matrix_kind == acquisition.NEAR_FIELD:
-            matrix = acquisition.near_field_matrix(receivers, system)
-        elif cfg.matrix_kind == acquisition.IMAGINARY_NEAR_FIELD:
-            matrix = acquisition.imaginary_near_field_matrix(
-                acquisition.near_field_matrix(receivers, system)
+        elif point_config is not None:
+            raise ValueError(
+                "point-scatterer runs support near-field and imaginary "
+                f"near-field matrices, not {cfg.matrix_kind}"
             )
         elif cfg.matrix_kind == acquisition.CROSS_CORRELATION:
             matrix = acquisition.cross_correlation_matrix(
@@ -424,43 +429,24 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             )
         else:
             raise ValueError(f"unknown matrix kind {cfg.matrix_kind!r}")
-    except PipelineError:
-        raise
-    except forward.GeometryError as exc:
-        # the acquisition builders make the run's only exterior check
-        raise PipelineError("geometry", str(exc)) from exc
-    except Exception as exc:
-        raise PipelineError("acquire", str(exc)) from exc
-    timings["acquire"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("noise", timings):
         matrix = acquisition.add_noise(matrix, cfg.noise_amplitude, cfg.seed)
         if not matrix.entries.any():
             raise ValueError("the matrix is zero: nothing to image")
         if matrix.delta == 0.0:
             raise ValueError("delta = 0: Morozov's discrepancy principle "
                              "needs noise.amplitude > 0")
-    except Exception as exc:
-        raise PipelineError("noise", str(exc)) from exc
-    timings["noise"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
+    with _stage("invert", timings):
         indicator = inversion.indicator_map(
             matrix, cfg.grid_spec(), ctx, mask_radius=cfg.mask_radius)
-    except Exception as exc:
-        raise PipelineError("invert", str(exc)) from exc
-    if not indicator.mask.any():
-        raise PipelineError("invert", (
-            f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
-            f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
-    timings["invert"] = time.perf_counter() - t0
+        if not indicator.mask.any():
+            raise PipelineError("invert", (
+                f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
+                f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
 
-    return RunArtifacts(
-        config=cfg, curve=curve, point_config=point_config, receivers=receivers,
-        sources=sources, matrix=matrix, indicator=indicator, timings=timings,
-    )
+    return RunArtifacts(curve=curve, matrix=matrix, indicator=indicator, timings=timings)
 
 
 @dataclass
@@ -490,15 +476,11 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     art = execute(config)
-    t0 = time.perf_counter()
-    try:
+    with _stage("write", art.timings):
         acquisition.write_matrix_csv(art.matrix, out / "matrix.csv")
         inversion.write_indicator_csv(art.indicator, out / "indicator.csv")
         inversion.write_indicator_raw_csv(art.indicator, out / "indicator_raw.csv")
         inversion.write_indicator_pgm(art.indicator, out / "indicator.pgm")
-    except Exception as exc:
-        raise PipelineError("write", str(exc)) from exc
-    art.timings["write"] = time.perf_counter() - t0
     files = {name: _sha256(out / name) for name in OUTPUT_FILES}
     manifest = RunManifest(
         version=VERSION,

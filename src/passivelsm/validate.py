@@ -1,9 +1,11 @@
 """Verification suites: every acceptance property of the toolkit as a
 machine-checkable criterion with measured values and fixed thresholds.
 
-Each criterion runs standalone and returns a CheckResult; `run_suite`
-groups them under the names used by the CLI.  Failures are report
-entries, not exceptions.
+Each criterion is declared once, by `@_criterion`, with its suite name,
+threshold text and runtime budget; it runs standalone and returns a
+CheckResult.  `run_suite` runs the criteria of one suite by the names
+the CLI uses.  A missed threshold or budget is a report entry with
+passed=False; an exception raised inside a criterion propagates.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from pathlib import Path
 
 import numpy as np
@@ -40,34 +42,24 @@ class CheckResult:
         return f"{tag} criterion {self.cid:2d} [{self.name}] ({self.seconds:.1f}s)"
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 # ---------------------------------------------------------------------------
 # Shared fixtures (cached; everything is deterministic)
 # ---------------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _ctx() -> WaveContext:
-    return WaveContext(k=2.0 * math.pi)
+_CTX = WaveContext(k=2.0 * math.pi)
+_LAM = _CTX.wavelength
 
 
 @lru_cache(maxsize=None)
 def _kite_system():
-    ctx = _ctx()
-    lam = ctx.wavelength
     curve = geometry.place_scatterer(
-        geometry.BoundaryCurve(kind="kite"), ctx, (2.0 * lam, 2.0 * lam), 0.5 * lam
+        geometry.BoundaryCurve(kind="kite"), _CTX, (2.0 * _LAM, 2.0 * _LAM), 0.5 * _LAM
     )
-    return forward.assemble_single_layer(geometry.discretize(curve, 256), ctx)
+    return forward.assemble_single_layer(geometry.discretize(curve, 256), _CTX)
 
 
 @lru_cache(maxsize=None)
 def _kite_receivers():
-    lam = _ctx().wavelength
-    return geometry.circle_points(5.0 * lam, 80, role=geometry.ROLE_RECEIVER)
+    return geometry.circle_points(5.0 * _LAM, 80, role=geometry.ROLE_RECEIVER)
 
 
 @lru_cache(maxsize=None)
@@ -77,9 +69,8 @@ def _kite_imaginary():
 
 
 def _cross_corr(sources: geometry.PointSet) -> acquisition.FieldMatrix:
-    lam = _ctx().wavelength
     return acquisition.cross_correlation_matrix(
-        _kite_receivers(), sources, 2.0 * math.pi * 50.0 * lam, _kite_system()
+        _kite_receivers(), sources, 2.0 * math.pi * 50.0 * _LAM, _kite_system()
     )
 
 
@@ -153,443 +144,319 @@ def has_local_max_near(imap: inversion.IndicatorMap, point, cells: float = 1.0) 
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
-def criterion_1_special_functions() -> CheckResult:
+CRITERIA: dict = {}
+SUITES: dict = {}
+
+
+def _criterion(cid: int, suite: str, name: str, threshold: str, budget: float = math.inf):
+    """Register `body() -> (passed, measured)` as criterion `cid`, alone in
+    suite `suite`.  The registered check times the body and passes only if
+    the body does and it took less than `budget` seconds."""
+
+    def register(body):
+        @wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            passed, measured = body()
+            seconds = time.perf_counter() - t0
+            return CheckResult(cid, name, bool(passed) and seconds < budget,
+                               threshold, measured, seconds)
+
+        CRITERIA[cid] = check
+        SUITES[suite] = (cid,)
+        return check
+
+    return register
+
+
+@_criterion(1, "wronskian", "special functions",
+            "wronskian < 1e-10; J0(1), Y0(1) to 1e-12; < 1 s", budget=1.0)
+def criterion_1_special_functions():
     """Wronskian residual and series-oracle values for J0, Y0."""
-
-    def body():
-        # Im(conj(H_{n+1}) H_n) = J_{n+1} Y_n - J_n Y_{n+1} = 2/(pi x)
-        x = np.array([0.1, 1.0, 10.0, 100.0])
-        h = hankel1_orders(41, x)
-        resid = (np.conj(h[1:]) * h[:-1]).imag - 2.0 / (math.pi * x)
-        h01 = h[0, 1]   # H_0(1)
-        return (float(np.abs(resid).max()), float(abs(h01.real - J0_AT_1)),
-                float(abs(h01.imag - Y0_AT_1)))
-
-    (worst, ej, ey), sec = _timed(body)
-    passed = worst < 1e-10 and ej <= 1e-12 and ey <= 1e-12 and sec < 1.0
-    return CheckResult(
-        1, "special functions", passed,
-        "wronskian < 1e-10; J0(1), Y0(1) to 1e-12; < 1 s",
-        {"wronskian": worst, "err_J0_1": ej, "err_Y0_1": ey}, sec,
-    )
+    # Im(conj(H_{n+1}) H_n) = J_{n+1} Y_n - J_n Y_{n+1} = 2/(pi x)
+    x = np.array([0.1, 1.0, 10.0, 100.0])
+    h = hankel1_orders(41, x)
+    resid = (np.conj(h[1:]) * h[:-1]).imag - 2.0 / (math.pi * x)
+    h01 = h[0, 1]   # H_0(1)
+    worst = float(np.abs(resid).max())
+    ej = float(abs(h01.real - J0_AT_1))
+    ey = float(abs(h01.imag - Y0_AT_1))
+    return (worst < 1e-10 and ej <= 1e-12 and ey <= 1e-12,
+            {"wronskian": worst, "err_J0_1": ej, "err_Y0_1": ey})
 
 
-def criterion_2_mie() -> CheckResult:
+@_criterion(2, "mie", "forward solver vs Mie",
+            "rel err < 1e-6 at n=256; ratio(64->128) > 10 or both < 1e-10 floor; < 5 s",
+            budget=5.0)
+def criterion_2_mie():
     """Nystrom solver against the Mie series on the quarter-wavelength circle.
 
     The solver is spectrally convergent, so both n = 64 and n = 128 sit
     on the rounding floor for this configuration; the convergence-ratio
     clause therefore passes either by ratio > 10 or by both errors
     already being below the 1e-10 floor."""
-
-    def body():
-        ctx = _ctx()
-        lam = ctx.wavelength
-        curve = geometry.BoundaryCurve(kind="circle", params=(0.25 * lam,))
-        y = np.array([5.0 * lam, 0.0])
-        theta = 2.0 * math.pi * np.arange(64) / 64 + 0.03
-        obs = 5.0 * lam * np.column_stack([np.cos(theta), np.sin(theta)])
-        ref = forward.mie_scattered_circle(ctx, 0.25 * lam, (0.0, 0.0), obs, y)
-        scale = float(np.abs(ref).max())
-        errs = {}
-        for n in (64, 128, 256):
-            system = forward.assemble_single_layer(geometry.discretize(curve, n), ctx)
-            charges = forward.solve_charges(system, y[None, :])
-            us = forward.scattered_matrix(system, charges, obs)[:, 0]
-            errs[n] = float(np.abs(us - ref).max() / scale)
-        return errs
-
-    errs, sec = _timed(body)
+    curve = geometry.BoundaryCurve(kind="circle", params=(0.25 * _LAM,))
+    y = np.array([5.0 * _LAM, 0.0])
+    theta = 2.0 * math.pi * np.arange(64) / 64 + 0.03
+    obs = 5.0 * _LAM * np.column_stack([np.cos(theta), np.sin(theta)])
+    ref = forward.mie_scattered_circle(_CTX, 0.25 * _LAM, (0.0, 0.0), obs, y)
+    scale = float(np.abs(ref).max())
+    errs = {}
+    for n in (64, 128, 256):
+        system = forward.assemble_single_layer(geometry.discretize(curve, n), _CTX)
+        charges = forward.solve_charges(system, y[None, :])
+        us = forward.scattered_matrix(system, charges, obs)[:, 0]
+        errs[n] = float(np.abs(us - ref).max() / scale)
     ratio = errs[64] / max(errs[128], 1e-300)
     floor = max(errs[64], errs[128]) < 1e-10
-    passed = errs[256] < 1e-6 and (ratio > 10.0 or floor) and sec < 5.0
-    return CheckResult(
-        2, "forward solver vs Mie", passed,
-        "rel err < 1e-6 at n=256; ratio(64->128) > 10 or both < 1e-10 floor; < 5 s",
-        {"errors": errs, "ratio_64_128": ratio, "at_floor": floor}, sec,
-    )
+    return (errs[256] < 1e-6 and (ratio > 10.0 or floor),
+            {"errors": errs, "ratio_64_128": ratio, "at_floor": floor})
 
 
-def criterion_3_helmholtz_kirchhoff() -> CheckResult:
+@_criterion(3, "hk", "Helmholtz-Kirchhoff identity",
+            "rel err < 1e-2 at 100 wavelengths; strictly decreasing over {25,50,100}; < 30 s",
+            budget=30.0)
+def criterion_3_helmholtz_kirchhoff():
     """HK identity for the Green's function and for total fields."""
-
-    def body():
-        ctx = _ctx()
-        lam = ctx.wavelength
-        system = _kite_system()
-        x = np.array([1.2 * lam, -0.7 * lam])
-        y = np.array([-2.3 * lam, 0.4 * lam])
-        u_ref = forward.total_field_matrix(system, x, y)[0, 0]
-        lhs_phi = green2d(ctx, x, y)
-        lhs_phi = lhs_phi - np.conj(lhs_phi)
-        lhs_tot = u_ref - np.conj(u_ref)
-        e_phi, e_tot = [], []
-        for radius in (25.0, 50.0, 100.0):
-            nq = 512
-            th = 2.0 * math.pi * np.arange(nq) / nq
-            z = radius * lam * np.column_stack([np.cos(th), np.sin(th)])
-            w = 2.0 * math.pi * radius * lam / nq
-            px = green2d(ctx, x[None, :], z)
-            py = green2d(ctx, y[None, :], z)
-            quad = 2j * ctx.k * w * np.sum(np.conj(px) * py)
-            e_phi.append(float(abs(lhs_phi - quad) / abs(lhs_phi)))
-            u = forward.total_field_matrix(system, np.vstack([x, y]), z)
-            quad_t = 2j * ctx.k * w * np.sum(np.conj(u[0]) * u[1])
-            e_tot.append(float(abs(lhs_tot - quad_t) / abs(lhs_tot)))
-        return e_phi, e_tot
-
-    (e_phi, e_tot), sec = _timed(body)
+    system = _kite_system()
+    x = np.array([1.2 * _LAM, -0.7 * _LAM])
+    y = np.array([-2.3 * _LAM, 0.4 * _LAM])
+    u_ref = forward.total_field_matrix(system, x, y)[0, 0]
+    lhs_phi = green2d(_CTX, x, y)
+    lhs_phi = lhs_phi - np.conj(lhs_phi)
+    lhs_tot = u_ref - np.conj(u_ref)
+    e_phi, e_tot = [], []
+    for radius in (25.0, 50.0, 100.0):
+        nq = 512
+        th = 2.0 * math.pi * np.arange(nq) / nq
+        z = radius * _LAM * np.column_stack([np.cos(th), np.sin(th)])
+        w = 2.0 * math.pi * radius * _LAM / nq
+        px = green2d(_CTX, x[None, :], z)
+        py = green2d(_CTX, y[None, :], z)
+        quad = 2j * _CTX.k * w * np.sum(np.conj(px) * py)
+        e_phi.append(float(abs(lhs_phi - quad) / abs(lhs_phi)))
+        u = forward.total_field_matrix(system, np.vstack([x, y]), z)
+        quad_t = 2j * _CTX.k * w * np.sum(np.conj(u[0]) * u[1])
+        e_tot.append(float(abs(lhs_tot - quad_t) / abs(lhs_tot)))
     decreasing = all(a > b for a, b in zip(e_phi, e_phi[1:])) and all(
         a > b for a, b in zip(e_tot, e_tot[1:])
     )
-    passed = e_phi[-1] < 1e-2 and e_tot[-1] < 1e-2 and decreasing and sec < 30.0
-    return CheckResult(
-        3, "Helmholtz-Kirchhoff identity", passed,
-        "rel err < 1e-2 at 100 wavelengths; strictly decreasing over {25,50,100}; < 30 s",
-        {"phi_errors": e_phi, "total_errors": e_tot}, sec,
-    )
+    return (e_phi[-1] < 1e-2 and e_tot[-1] < 1e-2 and decreasing,
+            {"phi_errors": e_phi, "total_errors": e_tot})
 
 
-def criterion_4_bridge() -> CheckResult:
+@_criterion(4, "bridge", "bridge C ~ I",
+            "rel Frobenius error < 0.05 (beta=0, L=80); < 60 s", budget=60.0)
+def criterion_4_bridge():
     """Cross-correlation matrix approximates the imaginary near-field one."""
-
-    def body():
-        lam = _ctx().wavelength
-        sources = geometry.circle_points(
-            50.0 * lam, 80, beta=0.0, role=geometry.ROLE_RANDOM_SOURCE
-        )
-        return _bridge_error(sources)
-
-    err, sec = _timed(body)
-    passed = err < 0.05 and sec < 60.0
-    return CheckResult(
-        4, "bridge C ~ I", passed, "rel Frobenius error < 0.05 (beta=0, L=80); < 60 s",
-        {"relative_error": err}, sec,
-    )
+    err = _bridge_error(geometry.circle_points(
+        50.0 * _LAM, 80, beta=0.0, role=geometry.ROLE_RANDOM_SOURCE
+    ))
+    return err < 0.05, {"relative_error": err}
 
 
-def criterion_5_quadrature_rate() -> CheckResult:
+@_criterion(5, "quadrature", "quadrature rate O(1/sqrt(L))",
+            "log-log slope over L in {40,160,640} = -0.5 +/- 0.15 (10 seeds)")
+def criterion_5_quadrature_rate():
     """Monte Carlo rate 1/sqrt(L) for uniformly random source angles."""
-
-    def body():
-        lam = _ctx().wavelength
-        counts = (40, 160, 640)
-        means = []
-        for L in counts:
-            errs = [
-                _bridge_error(geometry.circle_points_uniform(50.0 * lam, L, seed=s))
-                for s in range(10)
-            ]
-            means.append(float(np.mean(errs)))
-        slope = float(np.polyfit(np.log(counts), np.log(means), 1)[0])
-        return means, slope
-
-    (means, slope), sec = _timed(body)
-    passed = -0.65 <= slope <= -0.35
-    return CheckResult(
-        5, "quadrature rate O(1/sqrt(L))", passed,
-        "log-log slope over L in {40,160,640} = -0.5 +/- 0.15 (10 seeds)",
-        {"mean_errors": means, "slope": slope}, sec,
-    )
-
-
-def criterion_6_beta_degradation() -> CheckResult:
-    """Perturbation beta degrades the bridge; more sources recover it."""
-
-    def body():
-        lam = _ctx().wavelength
-        means = {}
-        for beta in (0.3, 0.6, 0.9):
-            errs = [
-                _bridge_error(geometry.circle_points(
-                    50.0 * lam, 80, beta=beta, seed=s,
-                    role=geometry.ROLE_RANDOM_SOURCE,
-                ))
-                for s in range(10)
-            ]
-            means[beta] = float(np.mean(errs))
+    counts = (40, 160, 640)
+    means = []
+    for L in counts:
         errs = [
-            _bridge_error(geometry.circle_points(
-                50.0 * lam, 200, beta=0.9, seed=s, role=geometry.ROLE_RANDOM_SOURCE,
-            ))
+            _bridge_error(geometry.circle_points_uniform(50.0 * _LAM, L, seed=s))
             for s in range(10)
         ]
-        big_l = float(np.mean(errs))
-        return means, big_l
+        means.append(float(np.mean(errs)))
+    slope = float(np.polyfit(np.log(counts), np.log(means), 1)[0])
+    return -0.65 <= slope <= -0.35, {"mean_errors": means, "slope": slope}
 
-    (means, big_l), sec = _timed(body)
+
+def _perturbed_bridge_error(count: int, beta: float) -> float:
+    """Mean bridge error over 10 seeds of `count` perturbed sources."""
+    return float(np.mean([
+        _bridge_error(geometry.circle_points(
+            50.0 * _LAM, count, beta=beta, seed=s, role=geometry.ROLE_RANDOM_SOURCE,
+        ))
+        for s in range(10)
+    ]))
+
+
+@_criterion(6, "beta", "beta degradation",
+            "mean error strictly increasing over beta {0.3,0.6,0.9} at L=80; "
+            "L=200 at beta=0.9 beats L=80 at beta=0.3 (10 seeds)")
+def criterion_6_beta_degradation():
+    """Perturbation beta degrades the bridge; more sources recover it."""
+    means = {beta: _perturbed_bridge_error(80, beta) for beta in (0.3, 0.6, 0.9)}
+    big_l = _perturbed_bridge_error(200, 0.9)
     increasing = means[0.3] < means[0.6] < means[0.9]
-    passed = increasing and big_l < means[0.3]
-    return CheckResult(
-        6, "beta degradation", passed,
-        "mean error strictly increasing over beta {0.3,0.6,0.9} at L=80; "
-        "L=200 at beta=0.9 beats L=80 at beta=0.3 (10 seeds)",
-        {"means": {str(k): v for k, v in means.items()}, "L200_beta09": big_l}, sec,
-    )
+    return (increasing and big_l < means[0.3],
+            {"means": {str(k): v for k, v in means.items()}, "L200_beta09": big_l})
 
 
-def criterion_7_morozov() -> CheckResult:
+@_criterion(7, "morozov", "Morozov discrepancy",
+            "identity residual < 1e-6 on 100 instances; J=1 alpha = delta*sigma to 1e-12")
+def criterion_7_morozov():
     """Morozov identity recomputed without the SVD shortcut; J=1 closed form."""
-
-    def body():
-        rng = substream(20240, "morozov-instances")
-        worst = 0.0
-        for _ in range(100):
-            j = int(rng.integers(2, 25))
-            a = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
-            factors = inversion.svd(a)
-            phi = rng.standard_normal(j) + 1j * rng.standard_normal(j)
-            delta = float(rng.uniform(0.01, 0.5) * factors.sigma.max())
-            b = factors.u.conj().T @ phi
-            alpha = inversion.morozov_alpha(factors, b, delta)
-            g = inversion.tikhonov_solve(factors, phi, alpha)
-            residual_sq = float(np.linalg.norm(a @ g - phi) ** 2)
-            target_sq = float(delta ** 2 * np.linalg.norm(g) ** 2)
-            worst = max(worst, abs(residual_sq - target_sq) / target_sq)
-        # J = 1 closed form alpha = delta * sigma
-        closed_worst = 0.0
-        for _ in range(20):
-            s = float(rng.uniform(0.1, 10.0))
-            b1 = rng.standard_normal() + 1j * rng.standard_normal()
-            delta = float(rng.uniform(0.01, 1.0))
-            factors = inversion.SvdFactors(
-                u=np.eye(1, dtype=complex), sigma=np.array([s]),
-                vh=np.eye(1, dtype=complex),
-            )
-            alpha = inversion.morozov_alpha(factors, np.array([b1]), delta)
-            closed_worst = max(closed_worst, abs(alpha - delta * s) / (delta * s))
-        return worst, closed_worst
-
-    (worst, closed_worst), sec = _timed(body)
-    passed = worst < 1e-6 and closed_worst < 1e-12
-    return CheckResult(
-        7, "Morozov discrepancy", passed,
-        "identity residual < 1e-6 on 100 instances; J=1 alpha = delta*sigma to 1e-12",
-        {"identity_worst": worst, "closed_form_worst": closed_worst}, sec,
-    )
+    rng = substream(20240, "morozov-instances")
+    worst = 0.0
+    for _ in range(100):
+        j = int(rng.integers(2, 25))
+        a = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
+        factors = inversion.svd(a)
+        phi = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+        delta = float(rng.uniform(0.01, 0.5) * factors.sigma.max())
+        b = factors.u.conj().T @ phi
+        alpha = inversion.morozov_alpha(factors, b, delta)
+        g = inversion.tikhonov_solve(factors, phi, alpha)
+        residual_sq = float(np.linalg.norm(a @ g - phi) ** 2)
+        target_sq = float(delta ** 2 * np.linalg.norm(g) ** 2)
+        worst = max(worst, abs(residual_sq - target_sq) / target_sq)
+    # J = 1 closed form alpha = delta * sigma
+    closed_worst = 0.0
+    for _ in range(20):
+        s = float(rng.uniform(0.1, 10.0))
+        b1 = rng.standard_normal() + 1j * rng.standard_normal()
+        delta = float(rng.uniform(0.01, 1.0))
+        factors = inversion.SvdFactors(
+            u=np.eye(1, dtype=complex), sigma=np.array([s]),
+            vh=np.eye(1, dtype=complex),
+        )
+        alpha = inversion.morozov_alpha(factors, np.array([b1]), delta)
+        closed_worst = max(closed_worst, abs(alpha - delta * s) / (delta * s))
+    return (worst < 1e-6 and closed_worst < 1e-12,
+            {"identity_worst": worst, "closed_form_worst": closed_worst})
 
 
-def criterion_8_svd() -> CheckResult:
+@_criterion(8, "svd", "SVD residuals",
+            "reconstruction and orthonormality residuals < 1e-10 on 100 matrices (to 128x128)")
+def criterion_8_svd():
     """Reconstruction and orthonormality of the SVD on random matrices."""
-
-    def body():
-        rng = substream(20240, "svd-instances")
-        worst = 0.0
-        for _ in range(100):
-            j = int(rng.integers(2, 129))
-            a = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
-            f = inversion.svd(a)
-            eye = np.eye(j)
-            rec = np.linalg.norm(f.u * f.sigma @ f.vh - a) / np.linalg.norm(a)
-            ortho_u = np.linalg.norm(f.u.conj().T @ f.u - eye)
-            ortho_v = np.linalg.norm(f.vh @ f.vh.conj().T - eye)
-            sorted_ok = np.all(np.diff(f.sigma) <= 0)
-            worst = max(worst, float(rec), float(ortho_u), float(ortho_v))
-            if not sorted_ok:
-                worst = max(worst, 1.0)
-        return worst
-
-    worst, sec = _timed(body)
-    passed = worst < 1e-10
-    return CheckResult(
-        8, "SVD residuals", passed,
-        "reconstruction and orthonormality residuals < 1e-10 on 100 matrices (to 128x128)",
-        {"worst_residual": worst}, sec,
-    )
+    rng = substream(20240, "svd-instances")
+    worst = 0.0
+    for _ in range(100):
+        j = int(rng.integers(2, 129))
+        a = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
+        f = inversion.svd(a)
+        eye = np.eye(j)
+        rec = np.linalg.norm(f.u * f.sigma @ f.vh - a) / np.linalg.norm(a)
+        ortho_u = np.linalg.norm(f.u.conj().T @ f.u - eye)
+        ortho_v = np.linalg.norm(f.vh @ f.vh.conj().T - eye)
+        worst = max(worst, float(rec), float(ortho_u), float(ortho_v))
+        if not np.all(np.diff(f.sigma) <= 0):
+            worst = max(worst, 1.0)
+    return worst < 1e-10, {"worst_residual": worst}
 
 
-def _contrast_case(preset_name: str) -> tuple[dict, float]:
+def _contrast_case(preset_name: str) -> dict:
+    """Reconstruction metrics of one preset with its verdict: contrast
+    >= 2, half-max centroid within lambda/4, and < 60 s."""
     cfg = pipeline.preset(preset_name)
-    art, sec = _timed(lambda: pipeline.execute(cfg))
+    t0 = time.perf_counter()
+    art = pipeline.execute(cfg)
+    sec = time.perf_counter() - t0
     lam = cfg.ctx.wavelength
     metrics = reconstruction_metrics(
         art.indicator, art.curve, cfg.scatterer_center, lam
     )
     metrics["preset"] = preset_name
     metrics["seconds"] = sec
-    return metrics, lam
+    metrics["passed"] = (
+        metrics["contrast"] >= 2.0
+        and metrics["centroid_distance"] <= lam / 4.0
+        and sec < 60.0
+    )
+    return metrics
 
 
-def criterion_9_reconstruction_contrast() -> CheckResult:
+@_criterion(9, "contrast", "reconstruction contrast",
+            "reciprocal indicator inside >= 2x outside; half-max centroid within "
+            "lambda/4; < 60 s per preset")
+def criterion_9_reconstruction_contrast():
     """All six shape/matrix presets localize the scatterer."""
-
-    def body():
-        out = []
-        for name in ("ellipse-N", "ellipse-I", "ellipse-C",
-                     "kite-N", "kite-I", "kite-C"):
-            metrics, lam = _contrast_case(name)
-            metrics["passed"] = (
-                metrics["contrast"] >= 2.0
-                and metrics["centroid_distance"] <= lam / 4.0
-                and metrics["seconds"] < 60.0
-            )
-            out.append(metrics)
-        return out
-
-    cases, sec = _timed(body)
-    passed = all(c["passed"] for c in cases)
-    return CheckResult(
-        9, "reconstruction contrast", passed,
-        "reciprocal indicator inside >= 2x outside; half-max centroid within "
-        "lambda/4; < 60 s per preset",
-        {"cases": cases}, sec,
-    )
+    cases = [_contrast_case(name) for name in (
+        "ellipse-N", "ellipse-I", "ellipse-C", "kite-N", "kite-I", "kite-C")]
+    return all(c["passed"] for c in cases), {"cases": cases}
 
 
-def criterion_10_point_scatterers() -> CheckResult:
+@_criterion(10, "point-scatterers", "point-scatterer model",
+            "local maximum within one grid cell of each center; Born vs BEM < 5%")
+def criterion_10_point_scatterers():
     """Asymptotic model: indicator peaks at the centers; Born matches BEM."""
-
-    def body():
-        cfg = pipeline.preset("point-scatterers")
-        art = pipeline.execute(cfg)
-        peaks = [
-            has_local_max_near(art.indicator, c) for c in cfg.point_centers
-        ]
-        # single small circle: Born field against the Nystrom solution
-        ctx = _ctx()
-        lam = ctx.wavelength
-        radius = lam / 100.0
-        curve = geometry.BoundaryCurve(kind="circle", params=(radius,))
-        system = forward.assemble_single_layer(geometry.discretize(curve, 64), ctx)
-        y = 5.0 * lam * np.array([math.cos(1.0), math.sin(1.0)])
-        theta = 2.0 * math.pi * np.arange(16) / 16 + 0.05
-        obs = 5.0 * lam * np.column_stack([np.cos(theta), np.sin(theta)])
-        charges = forward.solve_charges(system, y[None, :])
-        bem = forward.scattered_matrix(system, charges, obs)[:, 0]
-        config = forward.PointScattererConfig(centers=np.zeros((1, 2)),
-                                              radii=np.array([radius]))
-        born = forward.point_scatterer_scattered(config, ctx, obs, y)
-        rel = float(np.abs(born - bem).max() / np.abs(bem).max())
-        return peaks, rel
-
-    (peaks, rel), sec = _timed(body)
-    passed = all(peaks) and rel < 0.05
-    return CheckResult(
-        10, "point-scatterer model", passed,
-        "local maximum within one grid cell of each center; Born vs BEM < 5%",
-        {"peaks_found": peaks, "born_vs_bem": rel}, sec,
-    )
+    cfg = pipeline.preset("point-scatterers")
+    art = pipeline.execute(cfg)
+    peaks = [has_local_max_near(art.indicator, c) for c in cfg.point_centers]
+    # single small circle: Born field against the Nystrom solution
+    radius = _LAM / 100.0
+    curve = geometry.BoundaryCurve(kind="circle", params=(radius,))
+    system = forward.assemble_single_layer(geometry.discretize(curve, 64), _CTX)
+    y = 5.0 * _LAM * np.array([math.cos(1.0), math.sin(1.0)])
+    theta = 2.0 * math.pi * np.arange(16) / 16 + 0.05
+    obs = 5.0 * _LAM * np.column_stack([np.cos(theta), np.sin(theta)])
+    charges = forward.solve_charges(system, y[None, :])
+    bem = forward.scattered_matrix(system, charges, obs)[:, 0]
+    config = forward.PointScattererConfig(centers=np.zeros((1, 2)),
+                                          radii=np.array([radius]))
+    born = forward.point_scatterer_scattered(config, _CTX, obs, y)
+    rel = float(np.abs(born - bem).max() / np.abs(bem).max())
+    return all(peaks) and rel < 0.05, {"peaks_found": peaks, "born_vs_bem": rel}
 
 
-def criterion_11_second_setup() -> CheckResult:
+@_criterion(11, "setup2", "second setup 1/sqrt(M)",
+            "mean error decreases from M=200 to M=800; ratio within factor 2 of sqrt(4)=2")
+def criterion_11_second_setup():
     """Covariance estimate converges to the quadrature limit like 1/sqrt(M)."""
-
-    def body():
-        ctx = _ctx()
-        lam = ctx.wavelength
-        receivers = geometry.circle_points(5.0 * lam, 200)
-        sources = geometry.circle_points(50.0 * lam, 200, beta=0.0,
-                                         role=geometry.ROLE_RANDOM_SOURCE)
-        system = _kite_system()
-        sigma_len = 2.0 * math.pi * 50.0 * lam
-        limit = acquisition.cross_correlation_matrix(
-            receivers, sources, sigma_len, system
-        ).entries
-        norm = np.linalg.norm(limit)
-        means = {}
-        for m in (200, 800):
-            errs = []
-            for seed in range(10):
-                cov = acquisition.covariance_matrix(
-                    receivers, sources, sigma_len, m, seed, system
-                ).entries
-                errs.append(float(np.linalg.norm(cov - limit) / norm))
-            means[m] = float(np.mean(errs))
-        return means
-
-    means, sec = _timed(body)
+    receivers = geometry.circle_points(5.0 * _LAM, 200)
+    sources = geometry.circle_points(50.0 * _LAM, 200, beta=0.0,
+                                     role=geometry.ROLE_RANDOM_SOURCE)
+    system = _kite_system()
+    sigma_len = 2.0 * math.pi * 50.0 * _LAM
+    limit = acquisition.cross_correlation_matrix(
+        receivers, sources, sigma_len, system
+    ).entries
+    norm = np.linalg.norm(limit)
+    means = {}
+    for m in (200, 800):
+        errs = []
+        for seed in range(10):
+            cov = acquisition.covariance_matrix(
+                receivers, sources, sigma_len, m, seed, system
+            ).entries
+            errs.append(float(np.linalg.norm(cov - limit) / norm))
+        means[m] = float(np.mean(errs))
     ratio = means[200] / means[800]
-    passed = means[800] < means[200] and 1.0 <= ratio <= 4.0
-    return CheckResult(
-        11, "second setup 1/sqrt(M)", passed,
-        "mean error decreases from M=200 to M=800; ratio within factor 2 of sqrt(4)=2",
-        {"mean_errors": {str(k): v for k, v in means.items()}, "ratio": ratio}, sec,
-    )
+    return (means[800] < means[200] and 1.0 <= ratio <= 4.0,
+            {"mean_errors": {str(k): v for k, v in means.items()}, "ratio": ratio})
 
 
-def criterion_12_wavenumber() -> CheckResult:
+@_criterion(12, "wavenumber", "wavenumber scaling",
+            "k=4pi with J=L=160 meets the criterion-9 thresholds")
+def criterion_12_wavenumber():
     """Doubled wavenumber with doubled arrays still reconstructs."""
-
-    def body():
-        metrics, lam = _contrast_case("wavenumber(4pi,160)")
-        metrics["passed"] = (
-            metrics["contrast"] >= 2.0
-            and metrics["centroid_distance"] <= lam / 4.0
-            and metrics["seconds"] < 60.0
-        )
-        return metrics
-
-    metrics, sec = _timed(body)
-    return CheckResult(
-        12, "wavenumber scaling", bool(metrics["passed"]),
-        "k=4pi with J=L=160 meets the criterion-9 thresholds",
-        metrics, sec,
-    )
+    metrics = _contrast_case("wavenumber(4pi,160)")
+    return metrics["passed"], metrics
 
 
-def criterion_13_determinism() -> CheckResult:
+@_criterion(13, "determinism", "determinism",
+            "byte-identical CSV/PGM outputs for repeated runs with one seed")
+def criterion_13_determinism():
     """Two runs with one seed produce byte-identical outputs."""
-
-    def body():
-        results = {}
-        for name in ("kite-C", "point-scatterers"):
-            cfg = pipeline.preset(name)
-            cfg.seed = 7
-            blobs = []
-            for _ in range(2):
-                with tempfile.TemporaryDirectory() as tmp:
-                    pipeline.run(cfg, tmp)
-                    blobs.append({
-                        f: (Path(tmp) / f).read_bytes()
-                        for f in pipeline.OUTPUT_FILES
-                    })
-            results[name] = all(blobs[0][f] == blobs[1][f] for f in blobs[0])
-        return results
-
-    results, sec = _timed(body)
-    passed = all(results.values())
-    return CheckResult(
-        13, "determinism", passed,
-        "byte-identical CSV/PGM outputs for repeated runs with one seed",
-        {"identical": results}, sec,
-    )
+    results = {}
+    for name in ("kite-C", "point-scatterers"):
+        cfg = pipeline.preset(name)
+        cfg.seed = 7
+        blobs = []
+        for _ in range(2):
+            with tempfile.TemporaryDirectory() as tmp:
+                pipeline.run(cfg, tmp)
+                blobs.append({
+                    f: (Path(tmp) / f).read_bytes()
+                    for f in pipeline.OUTPUT_FILES
+                })
+        results[name] = all(blobs[0][f] == blobs[1][f] for f in blobs[0])
+    return all(results.values()), {"identical": results}
 
 
-# ---------------------------------------------------------------------------
-# Suites
-# ---------------------------------------------------------------------------
-CRITERIA = {
-    1: criterion_1_special_functions,
-    2: criterion_2_mie,
-    3: criterion_3_helmholtz_kirchhoff,
-    4: criterion_4_bridge,
-    5: criterion_5_quadrature_rate,
-    6: criterion_6_beta_degradation,
-    7: criterion_7_morozov,
-    8: criterion_8_svd,
-    9: criterion_9_reconstruction_contrast,
-    10: criterion_10_point_scatterers,
-    11: criterion_11_second_setup,
-    12: criterion_12_wavenumber,
-    13: criterion_13_determinism,
-}
-
-SUITES = {
-    "wronskian": (1,),
-    "mie": (2,),
-    "hk": (3,),
-    "bridge": (4,),
-    "quadrature": (5,),
-    "beta": (6,),
-    "morozov": (7,),
-    "svd": (8,),
-    "contrast": (9,),
-    "point-scatterers": (10,),
-    "setup2": (11,),
-    "wavenumber": (12,),
-    "determinism": (13,),
-    "all": tuple(range(1, 14)),
-}
+SUITES["all"] = tuple(CRITERIA)
 
 
 def run_suite(selector: str = "all") -> dict:

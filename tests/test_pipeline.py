@@ -341,6 +341,12 @@ class TestRun:
         assert entries.shape == (12, 12)
         assert fields["kind"] == acquisition.CROSS_CORRELATION
 
+    def test_write_failure_is_tagged_write(self, tmp_path):
+        (tmp_path / "matrix.csv").mkdir()
+        with pytest.raises(PipelineError) as err:
+            run(tiny_config(), tmp_path)
+        assert err.value.stage == "write"
+
 
 class TestCli:
     def test_info(self, capsys):
@@ -458,3 +464,13 @@ class TestCli:
 
     def test_validate_unknown_suite(self, capsys):
         assert cli.main(["validate", "--suite", "nope"]) == 2
+
+    def test_validate_criterion_error_propagates(self, monkeypatch):
+        from passivelsm import validate
+
+        def broken():
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setitem(validate.CRITERIA, 1, broken)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cli.main(["validate", "--suite", "wronskian"])
