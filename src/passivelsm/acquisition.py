@@ -236,10 +236,6 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
     """
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and >= 0, got {amplitude}")
-    if amplitude == 0.0:
-        prov = dict(matrix.provenance)
-        prov.update({"noise_amplitude": 0.0, "delta": 0.0, "noise_seed": int(seed)})
-        return replace(matrix, provenance=prov)
     j = matrix.size
     g = substream(seed, "measurement-noise").standard_normal((2, j, j))
     scale = amplitude * float(np.abs(matrix.entries).max())

@@ -47,7 +47,7 @@ def _preset(name):
 
     try:
         return pipeline.preset(name)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:   # e.g. wavenumber(0), setup2(inf)
         raise pipeline.PipelineError("config", str(exc)) from exc
 
 
@@ -70,10 +70,9 @@ def _load_config(args):
         if not sep or not key.strip():
             raise SystemExit(f"malformed --set {item!r}; expected SECTION.KEY=VALUE")
         overrides.append((key.strip(), value.strip()))
-    cfg = pipeline.ExperimentConfig.from_ini(text, overrides)
     if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+        overrides.append(("run.seed", str(args.seed)))
+    return pipeline.ExperimentConfig.from_ini(text, overrides)
 
 
 def main(argv=None) -> int:
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-        return 0
+        return 0 if report["passed"] else 1
 
     from . import pipeline
 

@@ -94,16 +94,7 @@ def _morozov_bisect_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
     hi0 = max(delta * float(sigma.max(initial=0.0)), ALPHA_FLOOR * 2)
     lo = np.full(cols, np.log(ALPHA_FLOOR))
     hi = np.full(cols, np.log(hi0))
-    f_lo = _discrepancy(lo, sigma2, d2s2, b2)
-    f_hi = _discrepancy(hi, sigma2, d2s2, b2)
-    # In exact arithmetic f_hi >= 0; guard against rounding by doubling.
-    for _ in range(64):
-        bad = f_hi < 0
-        if not bad.any():
-            break
-        hi[bad] += np.log(2.0)
-        f_hi = _discrepancy(hi, sigma2, d2s2, b2)
-    solvable = f_lo < 0
+    solvable = _discrepancy(lo, sigma2, d2s2, b2) < 0
     span = float(np.max(hi - lo, initial=0.0))
     iters = max(1, int(np.ceil(np.log2(max(span, 1e-15) / BISECT_RELATIVE_TOL))))
     for _ in range(iters):

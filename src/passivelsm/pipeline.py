@@ -88,6 +88,7 @@ class ExperimentConfig:
     """Complete description of one experiment (all lengths absolute).
 
     Each field names its INI section and key(s), the one schema of the INI.
+    The defaults are the kite-C preset, at k = 2pi where lambda = 1.
     """
 
     k: float = _ini("wave", "k", default=2.0 * math.pi)
@@ -199,22 +200,52 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-def _base_config(k: float, count: int) -> ExperimentConfig:
-    lam = 2.0 * math.pi / k
-    return ExperimentConfig(
-        k=k,
-        scatterer_kind="kite",
-        scatterer_center=(2.0 * lam, 2.0 * lam),
-        scatterer_size=0.5 * lam,
-        receiver_radius=5.0 * lam,
-        receiver_count=count,
-        source_radius=50.0 * lam,
-        source_count=count,
-        source_beta=0.1,
-        grid_x=(-6.0 * lam, 6.0 * lam),
-        grid_y=(-6.0 * lam, 6.0 * lam),
-        mask_radius=5.0 * lam,
-    )
+def _count(text: str) -> int:
+    return int(_parse_number(text))
+
+
+# Fields measured in wavelengths: the defaults are at k = 2pi, lambda = 1.
+_LENGTH_FIELDS = ("scatterer_center", "scatterer_size", "receiver_radius",
+                  "source_radius", "grid_x", "grid_y", "mask_radius")
+_ELLIPSE = {"scatterer_kind": "ellipse", "scatterer_center": (-2.0, -2.0)}
+
+
+def _wavenumber(k: str = "4pi", count: str = "160") -> dict:
+    k, count = _parse_number(k), _count(count)
+    lam, base = 2.0 * math.pi / k, ExperimentConfig()
+    changes = {"k": k, "receiver_count": count, "source_count": count}
+    for name in _LENGTH_FIELDS:
+        value = getattr(base, name)
+        changes[name] = tuple(v * lam for v in value) if isinstance(value, tuple) else value * lam
+    return changes
+
+
+def _limited_aperture(letter: str = "C") -> dict:
+    if letter not in _KIND_LETTER:
+        raise ValueError(f"limited-aperture kind must be N, I or C, got {letter!r}")
+    # half circle facing the scatterer; the aperture extent is a choice
+    half = (math.pi / 2.0, 3.0 * math.pi / 2.0)
+    return dict(_ELLIPSE, matrix_kind=_KIND_LETTER[letter], receiver_arc=half, source_arc=half)
+
+
+# Each preset is the fields it changes from ExperimentConfig() (kite-C);
+# a preset that takes arguments is a function of their text.
+_PRESETS = {
+    **{f"{shape}-{letter}": dict(changes, matrix_kind=kind)
+       for shape, changes in (("kite", {}), ("ellipse", _ELLIPSE))
+       for letter, kind in _KIND_LETTER.items()},
+    "kite-beta": lambda beta="0.3", count="80": {
+        "source_beta": _parse_number(beta), "source_count": _count(count)},
+    "wavenumber": _wavenumber,
+    "setup2": lambda m="200": {
+        "receiver_count": 200, "source_count": 200, "matrix_kind": acquisition.COVARIANCE,
+        "source_beta": 0.0, "realizations": _count(m)},
+    "limited-aperture": _limited_aperture,
+    "point-scatterers": {
+        "scatterer_kind": "point-scatterers",
+        "point_centers": ((-2.0, -2.0), (2.0, 2.0), (2.0, -2.0)),
+        "matrix_kind": acquisition.IMAGINARY_NEAR_FIELD},
+}
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -222,7 +253,10 @@ def preset(name: str) -> ExperimentConfig:
 
     Supported names: ellipse-N/I/C, kite-N/I/C, kite-beta(beta, L),
     wavenumber(k, J), setup2(M), limited-aperture(N|I|C),
-    point-scatterers.  Parameters accept "4pi"-style numbers.
+    point-scatterers.  Parameters accept "4pi"-style numbers; trailing
+    ones may be left out.  Raises ValueError for a malformed or unknown
+    name, an unparsable argument or more arguments than the preset takes,
+    and ArithmeticError for an unusable one such as wavenumber(0).
     """
     name = name.strip()
     args: list[str] = []
@@ -230,67 +264,14 @@ def preset(name: str) -> ExperimentConfig:
         if not name.endswith(")"):
             raise ValueError(f"malformed preset name {name!r}")
         name, _, rest = name.partition("(")
-        args = [a for a in rest[:-1].split(",") if a.strip()]
-    k = 2.0 * math.pi
-    lam = 1.0
-
-    if name in ("ellipse-N", "ellipse-I", "ellipse-C",
-                "kite-N", "kite-I", "kite-C"):
-        shape, letter = name.split("-")
-        cfg = _base_config(k, 80)
-        cfg.matrix_kind = _KIND_LETTER[letter]
-        if shape == "ellipse":
-            cfg.scatterer_kind = "ellipse"
-            cfg.scatterer_center = (-2.0 * lam, -2.0 * lam)
-        return cfg
-
-    if name == "kite-beta":
-        beta = _parse_number(args[0]) if args else 0.3
-        count = int(_parse_number(args[1])) if len(args) > 1 else 80
-        cfg = _base_config(k, 80)
-        cfg.matrix_kind = acquisition.CROSS_CORRELATION
-        cfg.source_beta = beta
-        cfg.source_count = count
-        return cfg
-
-    if name == "wavenumber":
-        kk = _parse_number(args[0]) if args else 4.0 * math.pi
-        count = int(_parse_number(args[1])) if len(args) > 1 else 160
-        cfg = _base_config(kk, count)
-        cfg.matrix_kind = acquisition.CROSS_CORRELATION
-        return cfg
-
-    if name == "setup2":
-        m = int(_parse_number(args[0])) if args else 200
-        cfg = _base_config(k, 200)
-        cfg.matrix_kind = acquisition.COVARIANCE
-        cfg.source_beta = 0.0
-        cfg.realizations = m
-        return cfg
-
-    if name == "limited-aperture":
-        letter = args[0].strip() if args else "C"
-        if letter not in _KIND_LETTER:
-            raise ValueError(f"limited-aperture kind must be N, I or C, got {letter!r}")
-        cfg = _base_config(k, 80)
-        cfg.scatterer_kind = "ellipse"
-        cfg.scatterer_center = (-2.0 * lam, -2.0 * lam)
-        cfg.matrix_kind = _KIND_LETTER[letter]
-        # half circle facing the scatterer; the aperture extent is a choice
-        cfg.receiver_arc = (math.pi / 2.0, 3.0 * math.pi / 2.0)
-        cfg.source_arc = (math.pi / 2.0, 3.0 * math.pi / 2.0)
-        return cfg
-
-    if name == "point-scatterers":
-        cfg = _base_config(k, 80)
-        cfg.scatterer_kind = "point-scatterers"
-        cfg.point_centers = ((-2.0 * lam, -2.0 * lam), (2.0 * lam, 2.0 * lam),
-                             (2.0 * lam, -2.0 * lam))
-        cfg.point_radius = lam / 100.0
-        cfg.matrix_kind = acquisition.IMAGINARY_NEAR_FIELD
-        return cfg
-
-    raise ValueError(f"unknown preset {name!r}")
+        args = [a.strip() for a in rest[:-1].split(",") if a.strip()]
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    entry = _PRESETS[name]
+    takes = entry.__code__.co_argcount if callable(entry) else 0
+    if len(args) > takes:
+        raise ValueError(f"preset {name!r} takes at most {takes} arguments, got {len(args)}")
+    return ExperimentConfig(**(entry(*args) if callable(entry) else entry))
 
 
 # ---------------------------------------------------------------------------

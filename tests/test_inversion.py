@@ -102,6 +102,13 @@ class TestMorozov:
                            vh=np.eye(1, dtype=complex))
             alpha = morozov_alpha(f, b, delta)
             assert alpha == pytest.approx(delta * s, rel=1e-12)
+        # data on the top singular vector only: the root is the bracket's top
+        for _ in range(25):
+            f = svd(random_complex(rng, (int(rng.integers(2, 30)),) * 2))
+            delta = float(rng.uniform(1e-3, 2.0))
+            b = f.u.conj().T @ (f.u[:, 0] * random_complex(rng, 1))
+            alpha = morozov_alpha(f, b, delta)
+            assert alpha == pytest.approx(delta * f.sigma[0], rel=1e-12)
 
     def test_alpha_vanishes_with_delta(self):
         rng = np.random.default_rng(2)

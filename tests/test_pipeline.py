@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -261,6 +262,14 @@ class TestExecute:
             pipeline.execute(tiny_config(source_mode=mode))
         assert err.value.stage == "geometry"
 
+    @pytest.mark.parametrize("nodes, raised", [(64, 128), (512, None)])
+    def test_boundary_nodes_raised_to_density_floor(self, caplog, nodes, raised):
+        caplog.set_level(logging.INFO, logger=pipeline.__name__)
+        pipeline.execute(tiny_config(boundary_nodes=nodes, grid_nx=8, grid_ny=8))
+        lines = [m for m in caplog.messages if m.startswith("boundary nodes raised")]
+        assert lines == ([f"boundary nodes raised from {nodes} to {raised}"]
+                         if raised else [])
+
     def test_zero_noise_fails_in_noise_stage(self):
         cfg = tiny_config(noise_amplitude=0.0)
         with pytest.raises(PipelineError, match="noise.amplitude > 0") as err:
@@ -369,6 +378,7 @@ class TestCli:
         assert (tmp_path / "manifest.json").exists()
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["config"]["receiver_count"] == 12
+        assert data["config"]["seed"] == 2
 
     def test_run_config_file(self, tmp_path):
         cfg = tiny_config(seed=8)
@@ -424,7 +434,9 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: [{stage}] ")
         assert not (tmp_path / "o" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("name", ["torus-N", "kite-beta(x)", "setup2("])
+    @pytest.mark.parametrize("name", ["torus-N", "kite-beta(x)", "setup2(",
+                                      "setup2(1,2)", "kite-C(5)", "wavenumber(0)",
+                                      "setup2(inf)"])
     def test_info_bad_preset_exits_1(self, capsys, name):
         assert cli.main(["info", "--preset", name]) == 1
         assert capsys.readouterr().err.startswith("error: [config] ")
@@ -461,6 +473,17 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "2"
+
+    def test_validate_failed_criterion_exits_1(self, tmp_path, monkeypatch, capsys):
+        from passivelsm import validate
+
+        monkeypatch.setitem(validate.CRITERIA, 1, lambda: validate.CheckResult(
+            1, "special functions", False, "forced to fail"))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["validate", "--suite", "wronskian",
+                         "--out", str(report_path)]) == 1
+        assert "FAIL criterion  1" in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["passed"] is False
 
     def test_validate_unknown_suite(self, capsys):
         assert cli.main(["validate", "--suite", "nope"]) == 2
