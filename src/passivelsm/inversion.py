@@ -37,7 +37,10 @@ from .specfun import SINGULARITY_FACTOR, WaveContext, green2d
 logger = logging.getLogger(__name__)
 
 MAX_SVD_SIZE = 2048
-BISECT_RELATIVE_TOL = 1e-12
+LOG_ALPHA_TOL = 1e-12           # Newton stops at this step in log(alpha)
+MOROZOV_BRACKET_POINTS = 64
+MOROZOV_MAX_PASSES = 64
+MOROZOV_BLOCK = 512             # probe columns per block of a Newton pass
 ALPHA_FLOOR = 1e-30
 
 
@@ -75,34 +78,74 @@ def rhs_vectors(receivers: PointSet, zs, ctx: WaveContext) -> np.ndarray:
     return green2d(ctx, receivers.points[:, None, :], zs[None, :, :])
 
 
-def _discrepancy(log_alpha, sigma2, delta2_sigma2, b2):
-    alpha = np.exp(log_alpha)[None, :]
-    return (((alpha * alpha - delta2_sigma2) / (alpha + sigma2) ** 2) * b2).sum(axis=0)
+def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
+    """F and dF/dlog(alpha) at alpha[i] for column cols[i] of b2.
 
-
-def _morozov_bisect_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
-    """Vectorized log-space bisection of the discrepancy equation.
-
-    Returns (alpha, solvable) for right-hand sides given as columns of
-    squared coefficients b2 = |U* phi_z|^2.  F(delta * sigma_max) >= 0
-    always holds, so the root (when it exists) lies in
-    [ALPHA_FLOOR, delta * sigma_max].
+    With r = 1/(alpha + sigma^2) and q = r^2 b2, F = alpha^2 sum(q) -
+    delta^2 sigma^2.q and dF/dalpha = 2 (alpha + delta^2) sigma^2.(q r).
+    Columns go in blocks of MOROZOV_BLOCK, so a pass holds two J x block
+    temporaries and no J x P one.
     """
-    sigma2 = (sigma ** 2)[:, None]
-    d2s2 = (delta ** 2) * sigma2
-    cols = b2.shape[1]
-    hi0 = max(delta * float(sigma.max(initial=0.0)), ALPHA_FLOOR * 2)
-    lo = np.full(cols, np.log(ALPHA_FLOOR))
-    hi = np.full(cols, np.log(hi0))
-    solvable = _discrepancy(lo, sigma2, d2s2, b2) < 0
-    span = float(np.max(hi - lo, initial=0.0))
-    iters = max(1, int(np.ceil(np.log2(max(span, 1e-15) / BISECT_RELATIVE_TOL))))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        positive = _discrepancy(mid, sigma2, d2s2, b2) > 0
-        hi = np.where(positive, mid, hi)
-        lo = np.where(positive, lo, mid)
-    return np.exp(0.5 * (lo + hi)), solvable
+    f, slope = np.empty(len(cols)), np.empty(len(cols))
+    for start in range(0, len(cols), MOROZOV_BLOCK):
+        part = slice(start, start + MOROZOV_BLOCK)
+        a = alpha[part]
+        r = np.add.outer(a, sigma2)
+        np.reciprocal(r, out=r)
+        q = b2[:, cols[part]].T     # the gather is column-major: q is block x J in C order
+        q *= r
+        q *= r
+        f[part] = a * a * q.sum(axis=1) - delta2 * (q @ sigma2)
+        q *= r
+        slope[part] = 2.0 * a * (a + delta2) * (q @ sigma2)
+    return f, slope
+
+
+def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
+    """Morozov's alpha for every column of squared coefficients b2 = |U* phi_z|^2.
+
+    Returns (alpha, passes).  alpha is inf where F(ALPHA_FLOOR) >= 0: no
+    root exists, and the alpha -> inf limit gives ||g|| = 0.  Every term
+    of F is <= 0 at delta sigma_min and >= 0 at delta sigma_max, so one
+    (K x J)(J x P) product of F on K log-spaced alpha in between brackets
+    each root.  Newton steps in log(alpha) from the secant of the bracket
+    then refine it, each pass over the columns still active.
+    """
+    sigma2 = sigma ** 2
+    delta2 = delta ** 2
+    every = np.arange(b2.shape[1])
+    alpha = np.full(b2.shape[1], np.inf)
+    f_floor, _ = _discrepancy_slope(np.full(b2.shape[1], ALPHA_FLOOR), every, sigma2, delta2, b2)
+    active = every[f_floor < 0]
+    if not active.size:
+        return alpha, 0
+    grid = np.linspace(np.log(max(delta * float(sigma.min()), ALPHA_FLOOR)),
+                       np.log(delta * float(sigma.max())), MOROZOV_BRACKET_POINTS)
+    a = np.exp(grid)[:, None]
+    f_grid = (a * a - delta2 * sigma2) / (a + sigma2) ** 2 @ b2
+    above = f_grid >= 0
+    top = np.where(above.any(axis=0), above.argmax(axis=0), len(grid) - 1)[active]
+    bottom = np.maximum(top - 1, 0)
+    lo, hi = grid[bottom], grid[top]
+    f_lo, f_hi = f_grid[bottom, active], f_grid[top, active]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    t = np.where((lo <= t) & (t <= hi), t, 0.5 * (lo + hi))
+    passes = 0
+    while active.size and passes < MOROZOV_MAX_PASSES:
+        passes += 1
+        f, slope = _discrepancy_slope(np.exp(t), active, sigma2, delta2, b2)
+        hi = np.where(f > 0, t, hi)
+        lo = np.where(f < 0, t, lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - f / slope
+        # a step that leaves the bracket (or is not finite) bisects it
+        t_next = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(t_next - t) <= LOG_ALPHA_TOL
+        alpha[active[done]] = np.exp(t_next[done])
+        active, t, lo, hi = active[~done], t_next[~done], lo[~done], hi[~done]
+    alpha[active] = np.exp(t)
+    return alpha, passes
 
 
 def morozov_alpha(factors: SvdFactors, b: np.ndarray, delta: float) -> float:
@@ -117,9 +160,8 @@ def morozov_alpha(factors: SvdFactors, b: np.ndarray, delta: float) -> float:
     b = np.asarray(b)
     if not np.any(np.abs(b) > 0):
         raise MorozovNoRootError("zero right-hand side")
-    b2 = (np.abs(b) ** 2)[:, None]
-    alpha, solvable = _morozov_bisect_many(factors.sigma, b2, delta)
-    if not solvable[0]:
+    alpha, _ = _morozov_many(factors.sigma, (np.abs(b) ** 2)[:, None], delta)
+    if not np.isfinite(alpha[0]):
         raise MorozovNoRootError("noise exceeds signal: no discrepancy root")
     return float(alpha[0])
 
@@ -128,10 +170,13 @@ def _tikhonov_norms(sigma: np.ndarray, b2: np.ndarray, alpha: np.ndarray):
     """||g|| per column of b2 = |U* phi|^2, column c at alpha[c].
 
     In the SVD basis the filter sigma/(alpha + sigma^2) gives the
-    coefficients of g.
+    coefficients of g.  One J x P temporary holds the filter, in place.
     """
-    denom = alpha[None, :] + (sigma ** 2)[:, None]
-    return np.sqrt((((sigma[:, None] / denom) ** 2) * b2).sum(axis=0))
+    w = np.add.outer(sigma ** 2, alpha)
+    np.divide(sigma[:, None], w, out=w)
+    w **= 2
+    w *= b2
+    return np.sqrt(w.sum(axis=0))
 
 
 def tikhonov_solve(factors: SvdFactors, phi_z: np.ndarray, alpha: float) -> np.ndarray:
@@ -176,6 +221,21 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class MorozovStats:
+    """How the per-probe Morozov solves went; alpha over the solvable probes.
+
+    The alpha fields are None when no probe is solvable.
+    """
+
+    probed: int
+    unsolvable: int
+    alpha_min: Optional[float]
+    alpha_median: Optional[float]
+    alpha_max: Optional[float]
+    newton_passes: int
+
+
+@dataclass(frozen=True)
 class IndicatorMap:
     """Raw ||g_z|| values and the normalized reciprocal visual indicator.
 
@@ -190,6 +250,7 @@ class IndicatorMap:
     norm_min: float
     norm_max: float
     mask_radius: float
+    morozov: MorozovStats
 
 
 def indicator_map(
@@ -220,18 +281,25 @@ def indicator_map(
     dmin[inside] = scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
     probe = inside & (dmin > SINGULARITY_FACTOR * ctx.wavelength)
     values = np.zeros(len(pts))
-    ok = np.zeros(len(pts), dtype=bool)
+    alpha, passes = np.zeros(0), 0
     if probe.any():
-        phi = rhs_vectors(receivers, pts[probe], ctx)
-        b = factors.u.conj().T @ phi
-        b2 = np.abs(b) ** 2
-        alpha, solvable = _morozov_bisect_many(factors.sigma, b2, delta)
-        g_norm = _tikhonov_norms(factors.sigma, b2, alpha)
-        g_norm[~solvable] = 0.0
-        values[probe] = g_norm
-        ok[probe] = solvable
+        # the right-hand sides and U* phi are freed at once; b2 is squared in place
+        b2 = np.abs(factors.u.conj().T @ rhs_vectors(receivers, pts[probe], ctx))
+        b2 *= b2
+        alpha, passes = _morozov_many(factors.sigma, b2, delta)
+        # an unsolvable probe has alpha = inf and so ||g|| = 0
+        values[probe] = _tikhonov_norms(factors.sigma, b2, alpha)
+    solved = alpha[np.isfinite(alpha)]
+    stats = MorozovStats(
+        probed=int(probe.sum()),
+        unsolvable=int(alpha.size - solved.size),
+        alpha_min=float(solved.min()) if solved.size else None,
+        alpha_median=float(np.median(solved)) if solved.size else None,
+        alpha_max=float(solved.max()) if solved.size else None,
+        newton_passes=passes,
+    )
     reciprocal = np.zeros(len(pts))
-    valid = ok & (values > 0)
+    valid = values > 0
     if valid.any():
         rec = 1.0 / values[valid]
         lo, hi = float(rec.min()), float(rec.max())
@@ -249,6 +317,7 @@ def indicator_map(
         norm_min=lo,
         norm_max=hi,
         mask_radius=float(mask_radius),
+        morozov=stats,
     )
 
 

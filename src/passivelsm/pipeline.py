@@ -9,7 +9,8 @@ directory as
     indicator.csv      x, y, raw ||g||, normalized reciprocal, mask
     indicator_raw.csv  x, y, raw ||g||, mask
     indicator.pgm      8-bit graymap of the reciprocal indicator
-    manifest.json      config echo, version, timings, delta, checksums
+    manifest.json      config echo, version, timings, delta, checksums,
+                       Morozov health
 
 CSV numbers are printed with 17 significant digits so re-runs are
 byte-identical.
@@ -432,7 +433,12 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
 
 @dataclass
 class RunManifest:
-    """What a run produced: config echo, delta, timings, file checksums."""
+    """What a run produced: config echo, delta, timings, file checksums.
+
+    `health` holds deterministic numerical diagnostics; its `morozov`
+    block counts the probed and unsolvable cells and gives the alpha
+    range and the Newton passes of the per-cell Morozov solves.
+    """
 
     version: str
     config: dict
@@ -440,6 +446,7 @@ class RunManifest:
     delta: float
     timings: dict
     files: dict
+    health: dict
     status: str = "ok"
 
     def to_json(self) -> str:
@@ -470,6 +477,7 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
         delta=art.matrix.delta,
         timings={k: round(v, 6) for k, v in art.timings.items()},
         files=files,
+        health={"morozov": asdict(art.indicator.morozov)},
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     logger.info("run complete: %s", out)

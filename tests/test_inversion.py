@@ -1,7 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from passivelsm import acquisition, geometry, inversion
+from passivelsm import acquisition, geometry, inversion, pipeline
 from passivelsm.geometry import circle_points
 from passivelsm.inversion import (
     GridSpec,
@@ -91,7 +94,69 @@ class TestRhsVector:
             rhs_vectors(receivers, receivers.points[3], ctx)
 
 
+@pytest.fixture(scope="module")
+def preset_runs():
+    """(config, artifacts) at seed 0 of presets with J = 80, 160 and 200."""
+    runs = {}
+    for name in ("kite-C", "wavenumber(4pi,160)", "setup2(200)"):
+        cfg = pipeline.preset(name)
+        runs[name] = (cfg, pipeline.execute(cfg))
+    return runs
+
+
+def brentq_alpha(sigma, b2, delta):
+    """Morozov's alpha for one column, by scipy's brentq in log(alpha)."""
+    import scipy.optimize
+
+    s2 = sigma ** 2
+
+    def f(t):
+        a = math.exp(t)
+        return float((((a * a - delta ** 2 * s2) / (a + s2) ** 2) * b2).sum())
+
+    t = scipy.optimize.brentq(f, math.log(inversion.ALPHA_FLOOR),
+                              math.log(delta * sigma.max()), xtol=1e-14,
+                              rtol=4 * np.finfo(float).eps, maxiter=500)
+    return math.exp(t)
+
+
 class TestMorozov:
+    def test_matches_brentq_on_preset_rhs(self, preset_runs):
+        rng = np.random.default_rng(12)
+        for name, (cfg, art) in preset_runs.items():
+            f = svd(art.matrix)
+            probed = cfg.grid_spec().points()[art.indicator.mask.ravel()]
+            zs = probed[rng.choice(len(probed), 48, replace=False)]
+            b2 = np.abs(f.u.conj().T @ rhs_vectors(art.matrix.receivers, zs, cfg.ctx)) ** 2
+            alpha, passes = inversion._morozov_many(f.sigma, b2, art.matrix.delta)
+            assert 1 <= passes <= inversion.MOROZOV_MAX_PASSES
+            # Newton from the bracket's secant converges in a few passes over
+            # the whole map; falling back to bisection would take about 40
+            assert art.indicator.morozov.newton_passes <= 8, name
+            for c in range(len(zs)):
+                ref = brentq_alpha(f.sigma, b2[:, c], art.matrix.delta)
+                assert alpha[c] == pytest.approx(ref, rel=1e-12), (name, c)
+
+    def test_degenerate_columns_in_one_batch(self):
+        # singular: sigma_min = 0, so the bracket starts at ALPHA_FLOOR
+        sigma, delta = np.array([3.0, 1.0, 0.2, 0.0]), 0.1
+        b2 = np.array([
+            [0.0, 1.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0, 1e-6],
+        ])  # zero, top singular vector only, range only, null space only, mixed
+        alpha, passes = inversion._morozov_many(sigma, b2, delta)
+        assert passes <= inversion.MOROZOV_MAX_PASSES
+        np.testing.assert_array_equal(np.isfinite(alpha), [False, True, True, False, True])
+        assert alpha[1] == pytest.approx(delta * sigma[0], rel=1e-12)
+        for c in (2, 4):
+            assert alpha[c] == pytest.approx(brentq_alpha(sigma, b2[:, c], delta), rel=1e-12)
+        # J = 1: the bracket is the one point delta * sigma
+        alpha, _ = inversion._morozov_many(np.array([2.0]), np.array([[0.0, 4.0]]), 0.05)
+        assert alpha[0] == np.inf
+        assert alpha[1] == pytest.approx(0.1, rel=1e-12)
+
     def test_closed_form_single_component(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
@@ -219,6 +284,22 @@ class TestIndicatorMap:
         assert np.all(imap.values == 0.0)
         assert np.all(imap.reciprocal == 0.0)
 
+    def test_morozov_stats(self, ctx):
+        rng = np.random.default_rng(8)
+        receivers = circle_points(5.0, 10)
+        matrix = make_field_matrix(random_complex(rng, (10, 10)), receivers, delta=0.05)
+        inside = int(((self.GRID.points() ** 2).sum(axis=1) <= 25.0).sum())
+        stats = indicator_map(matrix, self.GRID, ctx).morozov
+        assert stats.probed == inside and stats.unsolvable == 0
+        assert 0 < stats.alpha_min <= stats.alpha_median <= stats.alpha_max
+        assert 1 <= stats.newton_passes <= inversion.MOROZOV_MAX_PASSES
+        # a zero matrix leaves every probe unsolvable and no alpha
+        matrix = make_field_matrix(np.zeros((10, 10), complex), receivers, delta=0.1)
+        stats = indicator_map(matrix, self.GRID, ctx).morozov
+        assert stats == inversion.MorozovStats(
+            probed=inside, unsolvable=inside, alpha_min=None, alpha_median=None,
+            alpha_max=None, newton_passes=0)
+
     def test_mask_radius_zeroes_outside(self, ctx):
         rng = np.random.default_rng(6)
         receivers = circle_points(5.0, 10)
@@ -280,6 +361,28 @@ class TestIndicatorMap:
         assert imap.values.ravel()[on_receiver] == 0.0
         # 81 cells lie within radius 5; (5, 0) and (-5, 0) sit on receivers
         assert imap.mask.sum() == 79
+
+
+class TestIndicatorMemory:
+    def test_peak_stays_at_the_rhs_vectors_peak(self, preset_runs):
+        """The Morozov solve holds no more than the right-hand sides did."""
+        cfg, art = preset_runs["kite-C"]
+        zs = cfg.grid_spec().points()[art.indicator.mask.ravel()]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        rhs_peak = traced_peak(lambda: rhs_vectors(art.matrix.receivers, zs, cfg.ctx))
+        map_peak = traced_peak(lambda: indicator_map(
+            art.matrix, cfg.grid_spec(), cfg.ctx, mask_radius=cfg.mask_radius))
+        assert art.indicator.morozov.unsolvable == 0
+        assert map_peak <= 1.10 * rhs_peak
 
 
 class TestIndicatorRuntime:

@@ -336,6 +336,21 @@ class TestRun:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_manifest_morozov_health_is_deterministic(self, tmp_path):
+        cfg = tiny_config()
+        blocks = []
+        for name in ("a", "b"):
+            run(cfg, tmp_path / name)
+            data = json.loads((tmp_path / name / "manifest.json").read_text())
+            blocks.append(data["health"]["morozov"])
+        assert blocks[0] == blocks[1]
+        morozov = blocks[0]
+        assert set(morozov) == {"probed", "unsolvable", "alpha_min", "alpha_median",
+                                "alpha_max", "newton_passes"}
+        assert morozov["probed"] > 0 and morozov["unsolvable"] == 0
+        assert 0 < morozov["alpha_min"] <= morozov["alpha_median"] <= morozov["alpha_max"]
+        assert morozov["newton_passes"] >= 1
+
     def test_seed_changes_outputs(self, tmp_path):
         run(tiny_config(seed=1), tmp_path / "a")
         run(tiny_config(seed=2), tmp_path / "b")
