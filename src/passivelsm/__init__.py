@@ -4,6 +4,9 @@ full 2D Helmholtz forward simulation needed to generate synthetic data.
 """
 
 
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _apply_thread_cap() -> None:
     """Honor LSM_THREADS by capping BLAS pools before numpy loads."""
     import os
@@ -11,7 +14,7 @@ def _apply_thread_cap() -> None:
     threads = os.environ.get("LSM_THREADS")
     if not threads:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_THREAD_VARIABLES:
         os.environ.setdefault(var, threads)
 
 

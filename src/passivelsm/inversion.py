@@ -40,7 +40,7 @@ MAX_SVD_SIZE = 2048
 LOG_ALPHA_TOL = 1e-12           # Newton stops at this step in log(alpha)
 MOROZOV_BRACKET_POINTS = 64
 MOROZOV_MAX_PASSES = 64
-MOROZOV_BLOCK = 512             # probe columns per block of a Newton pass
+MOROZOV_BLOCK = 512             # probe columns per block of indicator_map
 ALPHA_FLOOR = 1e-30
 
 
@@ -83,22 +83,17 @@ def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
 
     With r = 1/(alpha + sigma^2) and q = r^2 b2, F = alpha^2 sum(q) -
     delta^2 sigma^2.q and dF/dalpha = 2 (alpha + delta^2) sigma^2.(q r).
-    Columns go in blocks of MOROZOV_BLOCK, so a pass holds two J x block
-    temporaries and no J x P one.
+    b2 is one block of probe columns, so a pass holds two J x block
+    temporaries.
     """
-    f, slope = np.empty(len(cols)), np.empty(len(cols))
-    for start in range(0, len(cols), MOROZOV_BLOCK):
-        part = slice(start, start + MOROZOV_BLOCK)
-        a = alpha[part]
-        r = np.add.outer(a, sigma2)
-        np.reciprocal(r, out=r)
-        q = b2[:, cols[part]].T     # the gather is column-major: q is block x J in C order
-        q *= r
-        q *= r
-        f[part] = a * a * q.sum(axis=1) - delta2 * (q @ sigma2)
-        q *= r
-        slope[part] = 2.0 * a * (a + delta2) * (q @ sigma2)
-    return f, slope
+    r = np.add.outer(alpha, sigma2)
+    np.reciprocal(r, out=r)
+    q = b2[:, cols].T     # the gather is column-major: q is block x J in C order
+    q *= r
+    q *= r
+    f = alpha * alpha * q.sum(axis=1) - delta2 * (q @ sigma2)
+    q *= r
+    return f, 2.0 * alpha * (alpha + delta2) * (q @ sigma2)
 
 
 def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
@@ -107,9 +102,10 @@ def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
     Returns (alpha, passes).  alpha is inf where F(ALPHA_FLOOR) >= 0: no
     root exists, and the alpha -> inf limit gives ||g|| = 0.  Every term
     of F is <= 0 at delta sigma_min and >= 0 at delta sigma_max, so one
-    (K x J)(J x P) product of F on K log-spaced alpha in between brackets
+    (K x J)(J x block) product of F on K log-spaced alpha in between brackets
     each root.  Newton steps in log(alpha) from the secant of the bracket
-    then refine it, each pass over the columns still active.
+    then refine it, each pass over the columns still active.  b2 is one
+    block of probe columns, so each step holds one J x block temporary.
     """
     sigma2 = sigma ** 2
     delta2 = delta ** 2
@@ -170,7 +166,8 @@ def _tikhonov_norms(sigma: np.ndarray, b2: np.ndarray, alpha: np.ndarray):
     """||g|| per column of b2 = |U* phi|^2, column c at alpha[c].
 
     In the SVD basis the filter sigma/(alpha + sigma^2) gives the
-    coefficients of g.  One J x P temporary holds the filter, in place.
+    coefficients of g.  b2 is one block of probe columns, and one J x block
+    temporary holds the filter, in place.
     """
     w = np.add.outer(sigma ** 2, alpha)
     np.divide(sigma[:, None], w, out=w)
@@ -224,7 +221,9 @@ class GridSpec:
 class MorozovStats:
     """How the per-probe Morozov solves went; alpha over the solvable probes.
 
-    The alpha fields are None when no probe is solvable.
+    The alpha fields are None when no probe is solvable.  The probes are
+    solved in blocks of MOROZOV_BLOCK, and newton_passes is the largest
+    pass count of any block.
     """
 
     probed: int
@@ -280,18 +279,25 @@ def indicator_map(
     dmin = np.full(len(pts), np.inf)
     dmin[inside] = scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
     probe = inside & (dmin > SINGULARITY_FACTOR * ctx.wavelength)
-    values = np.zeros(len(pts))
-    alpha, passes = np.zeros(0), 0
-    if probe.any():
-        # the right-hand sides and U* phi are freed at once; b2 is squared in place
-        b2 = np.abs(factors.u.conj().T @ rhs_vectors(receivers, pts[probe], ctx))
+    zs = pts[probe]
+    alpha, gnorm = np.empty(len(zs)), np.empty(len(zs))
+    passes = 0
+    uh = factors.u.conj().T
+    # one block of probes at a time, so no J x P array exists; the
+    # right-hand sides and U* phi are freed at once, b2 is squared in place
+    for start in range(0, len(zs), MOROZOV_BLOCK):
+        part = slice(start, start + MOROZOV_BLOCK)
+        b2 = np.abs(uh @ rhs_vectors(receivers, zs[part], ctx))
         b2 *= b2
-        alpha, passes = _morozov_many(factors.sigma, b2, delta)
+        alpha[part], block_passes = _morozov_many(factors.sigma, b2, delta)
         # an unsolvable probe has alpha = inf and so ||g|| = 0
-        values[probe] = _tikhonov_norms(factors.sigma, b2, alpha)
+        gnorm[part] = _tikhonov_norms(factors.sigma, b2, alpha[part])
+        passes = max(passes, block_passes)
+    values = np.zeros(len(pts))
+    values[probe] = gnorm
     solved = alpha[np.isfinite(alpha)]
     stats = MorozovStats(
-        probed=int(probe.sum()),
+        probed=len(zs),
         unsolvable=int(alpha.size - solved.size),
         alpha_min=float(solved.min()) if solved.size else None,
         alpha_median=float(np.median(solved)) if solved.size else None,

@@ -10,10 +10,10 @@ directory as
     indicator_raw.csv  x, y, raw ||g||, mask
     indicator.pgm      8-bit graymap of the reciprocal indicator
     manifest.json      config echo, version, timings, delta, checksums,
-                       Morozov health
+                       Morozov health, environment
 
-CSV numbers are printed with 17 significant digits so re-runs are
-byte-identical.
+CSV numbers are printed with 17 significant digits so re-runs with one
+BLAS library and thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import io
 import json
 import logging
 import math
+import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -31,8 +33,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
-from . import acquisition, forward, geometry, inversion
+from . import BLAS_THREAD_VARIABLES, acquisition, forward, geometry, inversion
 from .specfun import WaveContext
 
 logger = logging.getLogger(__name__)
@@ -438,6 +441,8 @@ class RunManifest:
     `health` holds deterministic numerical diagnostics; its `morozov`
     block counts the probed and unsolvable cells and gives the alpha
     range and the Newton passes of the per-cell Morozov solves.
+    `environment` records what the output bytes depend on beyond the
+    config: the library versions and the thread settings.
     """
 
     version: str
@@ -447,6 +452,7 @@ class RunManifest:
     timings: dict
     files: dict
     health: dict
+    environment: dict
     status: str = "ok"
 
     def to_json(self) -> str:
@@ -457,6 +463,19 @@ def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def _environment() -> dict:
+    """Python, numpy and scipy versions and the thread variables (None if unset).
+
+    The same on every run on one machine, not across machines.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        **{var: os.environ.get(var) for var in ("LSM_THREADS",) + BLAS_THREAD_VARIABLES},
+    }
 
 
 def run(config: ExperimentConfig, outdir) -> RunManifest:
@@ -478,6 +497,7 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
         timings={k: round(v, 6) for k, v in art.timings.items()},
         files=files,
         health={"morozov": asdict(art.indicator.morozov)},
+        environment=_environment(),
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     logger.info("run complete: %s", out)

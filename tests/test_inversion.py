@@ -384,6 +384,52 @@ class TestIndicatorMemory:
         assert art.indicator.morozov.unsolvable == 0
         assert map_peak <= 1.10 * rhs_peak
 
+    def test_peak_stays_below_one_probe_matrix(self, preset_runs):
+        """The probes stream through in blocks, so no J x P array exists."""
+        cfg, art = preset_runs["kite-C"]
+        j, p = art.matrix.entries.shape[0], art.indicator.morozov.probed
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            indicator_map(art.matrix, cfg.grid_spec(), cfg.ctx, mask_radius=cfg.mask_radius)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert p > 2 * inversion.MOROZOV_BLOCK
+        assert peak < j * p * np.dtype(complex).itemsize
+
+
+class TestIndicatorBlocks:
+    def test_block_size_does_not_change_results(self, preset_runs, monkeypatch):
+        """Any block size gives the single-block map."""
+        cfg, art = preset_runs["kite-C"]
+        # 15 x 239 = 3585 = 7 * 512 + 1 probes, all well inside the receivers
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 15, 239)
+        solve = inversion._morozov_many
+
+        def streamed(block):
+            alphas = []
+
+            def spy(*args):
+                alpha, passes = solve(*args)
+                alphas.append(alpha)
+                return alpha, passes
+
+            monkeypatch.setattr(inversion, "MOROZOV_BLOCK", block)
+            monkeypatch.setattr(inversion, "_morozov_many", spy)
+            imap = indicator_map(art.matrix, grid, cfg.ctx)
+            assert len(alphas) == -(-imap.morozov.probed // block)
+            return imap, np.concatenate(alphas)
+
+        ref, ref_alpha = streamed(10 ** 6)
+        assert ref.morozov.probed == ref_alpha.size == 3585
+        for block in (1, 7, 512):
+            imap, alpha = streamed(block)
+            np.testing.assert_array_equal(imap.mask, ref.mask)
+            assert imap.morozov.unsolvable == ref.morozov.unsolvable
+            np.testing.assert_allclose(imap.values, ref.values, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(alpha, ref_alpha, rtol=1e-12, atol=0)
+
 
 class TestIndicatorRuntime:
     def test_reference_size_under_budget(self, ctx):

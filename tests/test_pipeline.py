@@ -4,11 +4,13 @@ import json
 import logging
 import math
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from passivelsm import acquisition, cli, forward, geometry, pipeline
 from passivelsm.pipeline import ExperimentConfig, PipelineError, preset, run
@@ -336,14 +338,25 @@ class TestRun:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_manifest_morozov_health_is_deterministic(self, tmp_path):
+    def test_manifest_morozov_health_is_deterministic(self, tmp_path, monkeypatch):
+        # read at run time: a set variable is recorded as is, an unset one as null
+        monkeypatch.setenv("LSM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = tiny_config()
-        blocks = []
+        blocks, environments = [], []
         for name in ("a", "b"):
             run(cfg, tmp_path / name)
             data = json.loads((tmp_path / name / "manifest.json").read_text())
             blocks.append(data["health"]["morozov"])
+            environments.append(data["environment"])
         assert blocks[0] == blocks[1]
+        assert environments[0] == environments[1]
+        assert environments[0]["LSM_THREADS"] == "3"
+        assert environments[0]["MKL_NUM_THREADS"] is None
+        threads = ("LSM_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert environments[0] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, **{var: os.environ.get(var) for var in threads}}
         morozov = blocks[0]
         assert set(morozov) == {"probed", "unsolvable", "alpha_min", "alpha_median",
                                 "alpha_max", "newton_passes"}
