@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
+import scipy.spatial.distance
 import scipy.special
 
 from .forward import (
     PointScattererConfig,
     SingleLayerSystem,
+    point_scatterer_scattered,
     require_exterior,
     scattered_matrix,
     solve_charges,
@@ -36,7 +39,7 @@ from .forward import (
 )
 from .geometry import PointSet
 from .seeding import substream
-from .specfun import WaveContext, green2d
+from .specfun import WaveContext
 
 logger = logging.getLogger(__name__)
 
@@ -53,17 +56,22 @@ REALIZATION_BLOCK = 128
 
 @dataclass(frozen=True)
 class FieldMatrix:
-    """J x J complex measurement matrix with its provenance.
+    """J x J complex measurement matrix with what produced it.
 
-    provenance records what produced the matrix: source layout, L, beta,
-    M, seeds, noise amplitude and the spectral-norm noise level delta
-    (0 for noise-free matrices).
+    The correlation kinds keep their source layout (L, beta, seed) and the
+    covariance its realization count M.  add_noise sets the noise amplitude
+    and seed and the spectral-norm noise level delta (0 when noise-free).
     """
 
     entries: np.ndarray
     kind: str
     receivers: PointSet
-    provenance: dict
+    k: float
+    sources: Optional[PointSet] = None
+    realizations: Optional[int] = None
+    noise_amplitude: float = 0.0
+    noise_seed: Optional[int] = None
+    delta: float = 0.0
 
     def __post_init__(self):
         if self.kind not in MATRIX_KINDS:
@@ -76,16 +84,10 @@ class FieldMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def delta(self) -> float:
-        return float(self.provenance.get("delta", 0.0))
-
 
 def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
     """phi - conj(phi) at receiver pairs: (i/2) J_0(k r), i/2 on the diagonal."""
-    pts = receivers.points
-    d = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt((d ** 2).sum(-1))
+    r = scipy.spatial.distance.cdist(receivers.points, receivers.points)
     return 0.5j * scipy.special.j0(ctx.k * r)
 
 
@@ -98,15 +100,7 @@ def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMa
     pts = receivers.points
     require_exterior(system, pts, what="receiver")
     entries = scattered_matrix(system, solve_charges(system, pts), pts)
-    prov = {
-        "k": system.ctx.k,
-        "sources": "co-located",
-        "noise_amplitude": 0.0,
-        "delta": 0.0,
-        "receiver_generation": receivers.generation,
-    }
-    return FieldMatrix(entries=entries, kind=NEAR_FIELD, receivers=receivers,
-                       provenance=prov)
+    return FieldMatrix(entries, NEAR_FIELD, receivers, system.ctx.k)
 
 
 def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
@@ -115,36 +109,21 @@ def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
         raise ValueError(
             f"imaginary near-field requires a {NEAR_FIELD} input, got {matrix.kind}"
         )
-    entries = matrix.entries - np.conj(matrix.entries)
-    prov = dict(matrix.provenance)
-    prov.update({"noise_amplitude": 0.0, "delta": 0.0})
-    return FieldMatrix(entries=entries, kind=IMAGINARY_NEAR_FIELD,
-                       receivers=matrix.receivers, provenance=prov)
+    return FieldMatrix(matrix.entries - np.conj(matrix.entries), IMAGINARY_NEAR_FIELD,
+                       matrix.receivers, matrix.k)
 
 
-def _correlation_matrix(kind, receivers: PointSet, sources: PointSet, sigma_length,
-                        system: SingleLayerSystem, prefactor, gram, **provenance):
+def _correlation_matrix(kind, receivers: PointSet, sources: PointSet,
+                        system: SingleLayerSystem, prefactor, gram, realizations=None):
     """prefactor * gram(u) - bracket, u the (J, L) total field at the receivers.
 
-    gram(u) carries the kind's conjugation convention, provenance its own keys.
+    gram(u) carries the kind's conjugation convention.
     """
     require_exterior(system, receivers.points, what="receiver")
     u = total_field_matrix(system, receivers.points, sources.points)
     entries = prefactor * gram(u) - imaginary_bracket(system.ctx, receivers)
-    prov = {
-        "k": system.ctx.k,
-        "L": sources.count,
-        "beta": sources.generation.get("beta"),
-        "source_mode": sources.generation.get("mode"),
-        "source_seed": sources.generation.get("seed"),
-        "sigma_length": float(sigma_length),
-        "noise_amplitude": 0.0,
-        "delta": 0.0,
-        "receiver_generation": receivers.generation,
-        **provenance,
-    }
-    return FieldMatrix(entries=entries, kind=kind, receivers=receivers,
-                       provenance=prov)
+    return FieldMatrix(entries, kind, receivers, system.ctx.k, sources=sources,
+                       realizations=realizations)
 
 
 def cross_correlation_matrix(
@@ -160,9 +139,8 @@ def cross_correlation_matrix(
     identity to hold (a limited-aperture arc degrades it by design).
     """
     prefactor = 2j * system.ctx.k * sigma_length / random_sources.count
-    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources,
-                               sigma_length, system, prefactor,
-                               lambda u: np.conj(u) @ u.T)
+    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources, system,
+                               prefactor, lambda u: np.conj(u) @ u.T)
 
 
 def covariance_matrix(
@@ -203,28 +181,17 @@ def covariance_matrix(
             acc += fields @ fields.conj().T
         return acc
 
-    return _correlation_matrix(COVARIANCE, receivers, sources, sigma_length,
-                               system, 2j * system.ctx.k / realizations, gram,
-                               M=int(realizations), realization_seed=int(seed))
+    return _correlation_matrix(COVARIANCE, receivers, sources, system,
+                               2j * system.ctx.k / realizations, gram, int(realizations))
 
 
 def point_scatterer_near_field(
     receivers: PointSet, config: PointScattererConfig, ctx: WaveContext
 ) -> FieldMatrix:
     """Near-field matrix of the small-obstacle asymptotic model."""
-    # sum_l phi(x_j, c_l) lambda_l phi(c_l, x_m), as point_scatterer_scattered
-    phi = green2d(ctx, receivers.points[:, None, :], config.centers[None, :, :])
-    entries = (phi * config.reflection_coefficients(ctx)) @ phi.T
-    prov = {
-        "k": ctx.k,
-        "sources": "co-located",
-        "model": "point-scatterer",
-        "noise_amplitude": 0.0,
-        "delta": 0.0,
-        "receiver_generation": receivers.generation,
-    }
-    return FieldMatrix(entries=entries, kind=NEAR_FIELD, receivers=receivers,
-                       provenance=prov)
+    pts = receivers.points
+    return FieldMatrix(point_scatterer_scattered(config, ctx, pts, pts), NEAR_FIELD,
+                       receivers, ctx.k)
 
 
 def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
@@ -241,23 +208,14 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
     scale = amplitude * float(np.abs(matrix.entries).max())
     noise = scale * (g[0] + 1j * g[1]) / np.sqrt(2.0)
     delta = float(np.linalg.norm(noise, 2))
-    prov = dict(matrix.provenance)
-    prov.update({
-        "noise_amplitude": float(amplitude),
-        "noise_seed": int(seed),
-        "delta": delta,
-    })
     logger.debug("added noise: amplitude=%g delta=%.6e", amplitude, delta)
-    return replace(matrix, entries=matrix.entries + noise, provenance=prov)
+    return replace(matrix, entries=matrix.entries + noise, noise_amplitude=float(amplitude),
+                   noise_seed=int(seed), delta=delta)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path, columns, header: str, fmt="%.17g") -> None:
     """CSV of the flattened (row-major) columns side by side, under header."""
     with open(path, "w", newline="\n") as fh:
@@ -266,14 +224,19 @@ def _write_csv(path, columns, header: str, fmt="%.17g") -> None:
 
 
 def write_matrix_csv(matrix: FieldMatrix, path) -> None:
-    """Row-major CSV, one `re,im` line per entry, provenance in the header."""
-    p = matrix.provenance
+    """Row-major CSV, one `re,im` line per entry, under a header of what made it.
+
+    seed, L and beta are those of the sources (the noise seed and blanks
+    for a matrix without sources); M is blank except for the covariance.
+    """
+    src = matrix.sources
+    seed, count, beta = ((matrix.noise_seed, "", "") if src is None
+                         else (src.seed, src.count, src.beta))
+    m = "" if matrix.realizations is None else matrix.realizations
     header = (
-        f"# kind={matrix.kind},J={matrix.size},k={_fmt(p.get('k', 0.0))},"
-        f"seed={p.get('source_seed', p.get('noise_seed', 0))},"
-        f"delta={_fmt(matrix.delta)},"
-        f"noise_amplitude={_fmt(p.get('noise_amplitude', 0.0))},"
-        f"L={p.get('L', '')},beta={p.get('beta', '')},M={p.get('M', '')}"
+        f"# kind={matrix.kind},J={matrix.size},k={matrix.k:.17g},seed={seed},"
+        f"delta={matrix.delta:.17g},noise_amplitude={matrix.noise_amplitude:.17g},"
+        f"L={count},beta={beta},M={m}"
     )
     _write_csv(path, (matrix.entries.real, matrix.entries.imag), header)
 

@@ -25,6 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.spatial.distance
 import scipy.special
 
 from .geometry import DiscretizedBoundary, boundary_distance, contains_points
@@ -38,6 +39,8 @@ NEAR_BOUNDARY_SPACINGS = 3.0
 UPSAMPLE_FACTOR = 4
 NEAR_EVAL_TOLERANCE = 1e-6
 MIN_SOURCE_CLEARANCE = 1e-3  # wavelengths
+# Largest single-layer system, as inversion.MAX_SVD_SIZE bounds the matrix.
+MAX_BOUNDARY_NODES = 2048
 
 
 class GeometryError(ValueError):
@@ -79,29 +82,22 @@ def kress_log_weights(n: int) -> np.ndarray:
 
 def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
     """Kress-quadrature Nystrom block of one boundary, acting on charges."""
-    n = bnd.n
     k = ctx.k
-    d = bnd.nodes[:, None, :] - bnd.nodes[None, :, :]
-    r = np.sqrt((d ** 2).sum(-1))
-    off = ~np.eye(n, dtype=bool)
-    j0 = np.ones((n, n))
-    y0 = np.zeros((n, n))
-    kr = k * r[off]
-    j0[off] = scipy.special.j0(kr)
-    y0[off] = scipy.special.y0(kr)
-    # phi = phi_1 * ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth factors
-    phi1 = -(1.0 / (4.0 * np.pi)) * j0
+    kr = k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes)
     dt = bnd.t[:, None] - bnd.t[None, :]
-    log_factor = np.zeros((n, n))
-    log_factor[off] = np.log(4.0 * np.sin(0.5 * dt[off]) ** 2)
-    phi = 0.25j * (j0 + 1j * y0)
-    phi2 = np.where(off, phi - phi1 * log_factor, 0.0)
+    # phi = phi_1 * ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth factors;
+    # y0 and the log factor are infinite on the diagonal, overwritten below
+    j0 = scipy.special.j0(kr)
+    phi1 = -(1.0 / (4.0 * np.pi)) * j0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi2 = 0.25j * (j0 + 1j * scipy.special.y0(kr))
+        phi2 -= phi1 * np.log(4.0 * np.sin(0.5 * dt) ** 2)
     np.fill_diagonal(
         phi2, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
     )
-    R = kress_log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return (n / (2.0 * np.pi)) * R[idx] * phi1 + phi2
+    # Kress weights R_d as the circulant matrix R[i, j] = R_{(i - j) mod n}
+    phi2 += (bnd.n / (2.0 * np.pi)) * scipy.linalg.circulant(kress_log_weights(bnd.n)) * phi1
+    return phi2
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,8 @@ def assemble_single_layer(
     coupling distinct boundaries are smooth and get the plain trapezoid
     rule.  Emits ResonanceWarning when the 1-norm condition estimate
     (LAPACK gecon on the LU factors) exceeds 1e10, the numerical
-    footprint of k^2 hitting an interior Dirichlet eigenvalue.
+    footprint of k^2 hitting an interior Dirichlet eigenvalue.  Raises
+    ValueError, before allocating, for more than MAX_BOUNDARY_NODES nodes.
     """
     if isinstance(boundaries, DiscretizedBoundary):
         boundaries = (boundaries,)
@@ -150,6 +147,9 @@ def assemble_single_layer(
             raise ValueError(f"boundary node count must be even and >= 32, got {b.n}")
     sizes = [b.n for b in boundaries]
     ntot = int(sum(sizes))
+    if ntot > MAX_BOUNDARY_NODES:
+        raise ValueError(f"the boundary needs {ntot} nodes, more than the "
+                         f"{MAX_BOUNDARY_NODES} a single-layer system may have")
     matrix = np.zeros((ntot, ntot), dtype=complex)
     offs = np.cumsum([0] + sizes)
     for a, ba in enumerate(boundaries):
@@ -372,11 +372,12 @@ def point_scatterer_scattered(
 
         u_s(x, y) ~ sum_l lambda_l phi(c_l, y) phi(x, c_l),
 
-    one value per point of `x`, shape (P,).
+    for every point of `x` and source `y`, shape (P, S); a single point is
+    a batch of one.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).reshape(2)
-    lam = config.reflection_coefficients(ctx)
-    phi_cy = green2d(ctx, config.centers, y)          # (L,)
-    phi_xc = green2d(ctx, xs[:, None, :], config.centers[None, :, :])  # (P, L)
-    return phi_xc @ (lam * phi_cy)
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    c = config.centers
+    phi_xc = green2d(ctx, xs[:, None, :], c[None, :, :])   # (P, L)
+    phi_cy = green2d(ctx, c[:, None, :], ys[None, :, :])   # (L, S)
+    return (phi_xc * config.reflection_coefficients(ctx)) @ phi_cy

@@ -219,21 +219,27 @@ def boundary_distance(curve: BoundaryCurve, points):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class PointSet:
-    """Points on a circle or arc with the parameters that generated them."""
+    """Points on a circle or arc of `radius` with the draw that placed them.
+
+    beta is the perturbation bound of a beta-perturbed layout and None for
+    uniformly random angles; seed names the stream of either draw.
+    """
 
     points: np.ndarray
     role: str
-    generation: dict
+    radius: float
+    beta: Optional[float]
+    seed: int
 
     @property
     def count(self) -> int:
         return len(self.points)
 
 
-def _points_from_angles(radius, theta, role, generation):
+def _points_from_angles(radius, theta, role, beta, seed):
     pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     pts.flags.writeable = False
-    return PointSet(points=pts, role=role, generation=generation)
+    return PointSet(points=pts, role=role, radius=float(radius), beta=beta, seed=int(seed))
 
 
 def _layout_span(radius, count, arc):
@@ -272,12 +278,7 @@ def circle_points(
     if beta > 0.0:
         offsets = substream(seed, "circle-points").uniform(0.0, beta, count)
     theta = theta_min + (span / count) * (np.arange(count) + offsets)
-    generation = {
-        "radius": float(radius), "count": int(count), "beta": float(beta),
-        "seed": int(seed), "arc": None if arc is None else (theta_min, theta_min + span),
-        "mode": "perturbed-equispaced",
-    }
-    return _points_from_angles(radius, theta, role, generation)
+    return _points_from_angles(radius, theta, role, float(beta), seed)
 
 
 def circle_points_uniform(
@@ -296,9 +297,4 @@ def circle_points_uniform(
     theta = theta_min + span * substream(seed, "circle-points-uniform").uniform(
         0.0, 1.0, count
     )
-    generation = {
-        "radius": float(radius), "count": int(count), "beta": None,
-        "seed": int(seed), "arc": None if arc is None else (theta_min, theta_min + span),
-        "mode": "uniform",
-    }
-    return _points_from_angles(radius, theta, role, generation)
+    return _points_from_angles(radius, theta, role, None, seed)

@@ -271,7 +271,7 @@ def indicator_map(
     if delta <= 0:
         raise ValueError("indicator_map requires a positive noise level delta")
     if mask_radius is None:
-        mask_radius = float(receivers.generation.get("radius", np.inf))
+        mask_radius = receivers.radius
     factors = svd(matrix)
     pts = grid.points()
     inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2

@@ -10,7 +10,7 @@ directory as
     indicator_raw.csv  x, y, raw ||g||, mask
     indicator.pgm      8-bit graymap of the reciprocal indicator
     manifest.json      config echo, version, timings, delta, checksums,
-                       Morozov health, environment
+                       assembly and Morozov health, environment
 
 CSV numbers are printed with 17 significant digits so re-runs with one
 BLAS library and thread count are byte-identical.
@@ -293,6 +293,7 @@ class RunArtifacts:
     """In-memory results of one experiment, before any file output."""
 
     curve: Optional[geometry.BoundaryCurve]
+    system: Optional[forward.SingleLayerSystem]
     matrix: acquisition.FieldMatrix
     indicator: inversion.IndicatorMap
     timings: dict
@@ -431,16 +432,20 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
                 f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
 
-    return RunArtifacts(curve=curve, matrix=matrix, indicator=indicator, timings=timings)
+    return RunArtifacts(curve=curve, system=system, matrix=matrix, indicator=indicator,
+                        timings=timings)
 
 
 @dataclass
 class RunManifest:
     """What a run produced: config echo, delta, timings, file checksums.
 
-    `health` holds deterministic numerical diagnostics; its `morozov`
-    block counts the probed and unsolvable cells and gives the alpha
-    range and the Newton passes of the per-cell Morozov solves.
+    `health` holds deterministic numerical diagnostics.  Its `assembly`
+    block gives the configured and the used boundary node counts and the
+    condition estimate of the single-layer system (all null without a
+    boundary); its `morozov` block counts the probed and unsolvable cells
+    and gives the alpha range and the Newton passes of the per-cell
+    Morozov solves.
     `environment` records what the output bytes depend on beyond the
     config: the library versions and the thread settings.
     """
@@ -478,6 +483,13 @@ def _environment() -> dict:
     }
 
 
+def _assembly_health(config: ExperimentConfig, system) -> dict:
+    if system is None or not system.boundaries:
+        return dict.fromkeys(("nodes_requested", "nodes_used", "condition_estimate"))
+    return {"nodes_requested": config.boundary_nodes, "nodes_used": system.size,
+            "condition_estimate": system.condition_estimate}
+
+
 def run(config: ExperimentConfig, outdir) -> RunManifest:
     """Execute `config` and write all outputs plus manifest.json to outdir."""
     out = Path(outdir)
@@ -496,7 +508,8 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
         delta=art.matrix.delta,
         timings={k: round(v, 6) for k, v in art.timings.items()},
         files=files,
-        health={"morozov": asdict(art.indicator.morozov)},
+        health={"assembly": _assembly_health(config, art.system),
+                "morozov": asdict(art.indicator.morozov)},
         environment=_environment(),
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")

@@ -396,7 +396,7 @@ def criterion_10_point_scatterers():
     bem = forward.scattered_matrix(system, charges, obs)[:, 0]
     config = forward.PointScattererConfig(centers=np.zeros((1, 2)),
                                           radii=np.array([radius]))
-    born = forward.point_scatterer_scattered(config, _CTX, obs, y)
+    born = forward.point_scatterer_scattered(config, _CTX, obs, y)[:, 0]
     rel = float(np.abs(born - bem).max() / np.abs(bem).max())
     return all(peaks) and rel < 0.05, {"peaks_found": peaks, "born_vs_bem": rel}
 

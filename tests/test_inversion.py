@@ -31,7 +31,7 @@ def random_complex(rng, shape):
 def make_field_matrix(entries, receivers, delta=0.0):
     return acquisition.FieldMatrix(
         entries=entries, kind=acquisition.NEAR_FIELD, receivers=receivers,
-        provenance={"delta": delta, "k": 2 * np.pi},
+        k=2 * np.pi, delta=delta,
     )
 
 

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ class TestExecute:
         cfg = tiny_config(matrix_kind=acquisition.COVARIANCE, realizations=50)
         art = pipeline.execute(cfg)
         assert art.matrix.kind == acquisition.COVARIANCE
-        assert art.matrix.provenance["M"] == 50
+        assert art.matrix.realizations == 50
 
     def test_none_scatterer_gives_zero_matrix(self):
         # no scatterer -> N = 0, so the entry-scaled noise is zero too and
@@ -343,13 +344,19 @@ class TestRun:
         monkeypatch.setenv("LSM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = tiny_config()
-        blocks, environments = [], []
+        blocks, assemblies, environments = [], [], []
         for name in ("a", "b"):
             run(cfg, tmp_path / name)
             data = json.loads((tmp_path / name / "manifest.json").read_text())
             blocks.append(data["health"]["morozov"])
+            assemblies.append(data["health"]["assembly"])
             environments.append(data["environment"])
         assert blocks[0] == blocks[1]
+        assert assemblies[0] == assemblies[1]
+        # the 64 configured nodes are raised to the density floor
+        assert assemblies[0]["nodes_requested"] == 64
+        assert assemblies[0]["nodes_used"] == 128
+        assert 1.0 < assemblies[0]["condition_estimate"] < forward.RESONANCE_CONDITION_LIMIT
         assert environments[0] == environments[1]
         assert environments[0]["LSM_THREADS"] == "3"
         assert environments[0]["MKL_NUM_THREADS"] is None
@@ -364,6 +371,24 @@ class TestRun:
         assert 0 < morozov["alpha_min"] <= morozov["alpha_median"] <= morozov["alpha_max"]
         assert morozov["newton_passes"] >= 1
 
+    @pytest.mark.parametrize("overrides, nodes", [
+        ({"boundary_nodes": 256}, (256, 256)),
+        ({"scatterer_kind": "point-scatterers", "point_centers": ((2.0, 2.0),),
+          "matrix_kind": acquisition.IMAGINARY_NEAR_FIELD}, (None, None)),
+    ], ids=["kept", "no-boundary"])
+    def test_manifest_assembly_health(self, tmp_path, overrides, nodes):
+        cfg = tiny_config(grid_nx=8, grid_ny=8, **overrides)
+        run(cfg, tmp_path)
+        block = json.loads((tmp_path / "manifest.json").read_text())["health"]["assembly"]
+        assert (block["nodes_requested"], block["nodes_used"]) == nodes
+        if nodes[1] is None:
+            assert block["condition_estimate"] is None
+            return
+        curve = geometry.place_scatterer(geometry.BoundaryCurve(kind="kite"), cfg.ctx,
+                                         cfg.scatterer_center, cfg.scatterer_size)
+        system = forward.assemble_single_layer(geometry.discretize(curve, nodes[1]), cfg.ctx)
+        assert block["condition_estimate"] == system.condition_estimate
+
     def test_seed_changes_outputs(self, tmp_path):
         run(tiny_config(seed=1), tmp_path / "a")
         run(tiny_config(seed=2), tmp_path / "b")
@@ -377,6 +402,23 @@ class TestRun:
         entries, fields = acquisition.read_matrix_csv(tmp_path / "matrix.csv")
         assert entries.shape == (12, 12)
         assert fields["kind"] == acquisition.CROSS_CORRELATION
+
+    @pytest.mark.parametrize("overrides, head, tail", [
+        ({"matrix_kind": acquisition.NEAR_FIELD}, "kind=near-field", "L=,beta=,M="),
+        ({"matrix_kind": acquisition.IMAGINARY_NEAR_FIELD}, "kind=imaginary-near-field",
+         "L=,beta=,M="),
+        ({}, "kind=cross-correlation", "L=16,beta=0.1,M="),
+        ({"source_mode": "uniform"}, "kind=cross-correlation", "L=16,beta=None,M="),
+        ({"matrix_kind": acquisition.COVARIANCE, "realizations": 50}, "kind=covariance",
+         "L=16,beta=0.0,M=50"),
+    ], ids=["N", "I", "C", "C-uniform", "covariance"])
+    def test_matrix_csv_header(self, tmp_path, overrides, head, tail):
+        manifest = run(tiny_config(seed=3, grid_nx=8, grid_ny=8, **overrides), tmp_path)
+        with open(tmp_path / "matrix.csv") as fh:
+            line = fh.readline()
+        assert line == (
+            f"# {head},J=12,k=6.2831853071795862,seed=3,delta={manifest.delta:.17g},"
+            f"noise_amplitude=0.050000000000000003,{tail}\n")
 
     def test_write_failure_is_tagged_write(self, tmp_path):
         (tmp_path / "matrix.csv").mkdir()
@@ -430,6 +472,23 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [noise]") and "noise.amplitude > 0" in err
+
+    @pytest.mark.parametrize("setting, nodes", [
+        ("scatterer.size=100", 16384), ("discretization.nodes=4096", 4096)])
+    def test_too_many_boundary_nodes_fail_in_assemble_stage(self, tmp_path, capsys,
+                                                            setting, nodes):
+        tracemalloc.start()
+        try:
+            rc = cli.main(["run", "--preset", "kite-C", "--out", str(tmp_path),
+                           "--set", setting])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [assemble] ") and f"needs {nodes} nodes" in err
+        # refused before the n x n system exists (268 MB at 4096 nodes)
+        assert peak < 16 * 2 ** 20
 
     def test_zero_matrix_run_fails_in_noise_stage(self, tmp_path, capsys):
         rc = cli.main([
