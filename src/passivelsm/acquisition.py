@@ -216,11 +216,11 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _write_csv(path, columns, header: str, fmt="%.17g") -> None:
-    """CSV of the flattened (row-major) columns side by side, under header."""
+def _write_csv(path, header: str, lines) -> None:
+    """The header line, then each text block of `lines` as it comes."""
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
-                   delimiter=",", header=header, comments="")
+        fh.write(header + "\n")
+        fh.writelines(lines)
 
 
 def write_matrix_csv(matrix: FieldMatrix, path) -> None:
@@ -238,7 +238,12 @@ def write_matrix_csv(matrix: FieldMatrix, path) -> None:
         f"delta={matrix.delta:.17g},noise_amplitude={matrix.noise_amplitude:.17g},"
         f"L={count},beta={beta},M={m}"
     )
-    _write_csv(path, (matrix.entries.real, matrix.entries.imag), header)
+    # a row's re, im pairs lie side by side as floats; one row at a time
+    # keeps the formatted text, not the whole table, in memory
+    template = "%.17g,%.17g\n" * matrix.size
+    _write_csv(path, header, (
+        template % tuple(np.ascontiguousarray(row, dtype=complex).view(float).tolist())
+        for row in matrix.entries))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, dict]:

@@ -330,18 +330,31 @@ def indicator_map(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+def _grid_lines(grid: GridSpec, fmt: str, *fields):
+    """CSV text of the grid one line (fixed y, ascending x) at a time.
+
+    Each row is x, y, then the (nx, ny) fields at that point in `fmt`.
+    Every axis value is formatted once, and only one line's values are
+    converted to Python numbers at a time.
+    """
+    xs, ys = (["%.17g" % v for v in axis.tolist()] for axis in grid.axes())
+    heads = [x + "," for x in xs]
+    for iy, y in enumerate(ys):
+        tail = f"{y},{fmt}\n"
+        cells = np.column_stack([f[:, iy] for f in fields])
+        yield (tail.join(heads) + tail) % tuple(cells.ravel().tolist())
+
+
 def write_indicator_csv(imap: IndicatorMap, path) -> None:
     """Full per-point table: x, y, raw ||g||, normalized reciprocal, mask."""
-    xx, yy = np.meshgrid(*imap.grid.axes())
-    _write_csv(path, (xx, yy, imap.values.T, imap.reciprocal.T, imap.mask.T),
-               "x,y,raw,reciprocal,mask", fmt=["%.17g"] * 4 + ["%d"])
+    _write_csv(path, "x,y,raw,reciprocal,mask", _grid_lines(
+        imap.grid, "%.17g,%.17g,%d", imap.values, imap.reciprocal, imap.mask))
 
 
 def write_indicator_raw_csv(imap: IndicatorMap, path) -> None:
     """Raw ||g|| field only: x, y, value, mask."""
-    xx, yy = np.meshgrid(*imap.grid.axes())
-    _write_csv(path, (xx, yy, imap.values.T, imap.mask.T), "x,y,value,mask",
-               fmt=["%.17g"] * 3 + ["%d"])
+    _write_csv(path, "x,y,value,mask",
+               _grid_lines(imap.grid, "%.17g,%d", imap.values, imap.mask))
 
 
 def write_indicator_pgm(imap: IndicatorMap, path) -> None:

@@ -447,7 +447,8 @@ class RunManifest:
     and gives the alpha range and the Newton passes of the per-cell
     Morozov solves.
     `environment` records what the output bytes depend on beyond the
-    config: the library versions and the thread settings.
+    config: the library versions, their BLAS builds and the thread
+    settings.
     """
 
     version: str
@@ -470,8 +471,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _blas(build: dict) -> str:
+    """'name version' of the BLAS in a show_config(mode="dicts") report."""
+    blas = build["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _environment() -> dict:
-    """Python, numpy and scipy versions and the thread variables (None if unset).
+    """Python, numpy and scipy versions, the BLAS each was built with, and
+    the thread variables (None if unset).
 
     The same on every run on one machine, not across machines.
     """
@@ -479,6 +487,8 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "numpy_blas": _blas(np.show_config(mode="dicts")),
+        "scipy_blas": _blas(scipy.show_config(mode="dicts")),
         **{var: os.environ.get(var) for var in ("LSM_THREADS",) + BLAS_THREAD_VARIABLES},
     }
 

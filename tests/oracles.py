@@ -3,7 +3,8 @@
 These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
-points in a polygon, and one outer product per covariance realization.
+points in a polygon, one outer product per covariance realization, and
+np.savetxt for the CSV text.
 Expected values frozen in the tests were produced by these routines.
 """
 
@@ -118,3 +119,11 @@ def covariance_outer_loop(u, k: float, sigma_length: float, realizations: int,
         field = u @ (std * (g[0] + 1j * g[1]))
         acc += np.outer(field, np.conj(field))
     return (2j * k / realizations) * acc
+
+
+def savetxt_csv(path, columns, header: str, fmt="%.17g") -> None:
+    """CSV of the flattened (row-major) columns side by side under header,
+    written by np.savetxt."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
+                   delimiter=",", header=header, comments="")

@@ -361,9 +361,14 @@ class TestRun:
         assert environments[0]["LSM_THREADS"] == "3"
         assert environments[0]["MKL_NUM_THREADS"] is None
         threads = ("LSM_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        blas = {f"{lib.__name__}_blas": "{name} {version}".format(
+            **lib.show_config(mode="dicts")["Build Dependencies"]["blas"])
+            for lib in (np, scipy)}
+        assert all(name.split() for name in blas.values())
         assert environments[0] == {
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, **{var: os.environ.get(var) for var in threads}}
+            "scipy": scipy.__version__, **blas,
+            **{var: os.environ.get(var) for var in threads}}
         morozov = blocks[0]
         assert set(morozov) == {"probed", "unsolvable", "alpha_min", "alpha_median",
                                 "alpha_max", "newton_passes"}
