@@ -62,42 +62,40 @@ class AccuracyWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
-def kress_log_weights(n: int) -> np.ndarray:
-    """Quadrature weights R_d for the ln(4 sin^2((t - t_j)/2)) factor.
+def _kress_column(n: int) -> np.ndarray:
+    """c_d = (n / 2 pi) R_d - ln(4 sin^2(pi d / n)) for d = 0..n-1, the
+    log term left out at d = 0.
 
-    R depends only on d = (i - j) mod n:
-        R_d = -(4 pi / n) sum_{m=1}^{n/2-1} cos(2 pi m d / n)/m
-              - (4 pi / n^2) (-1)^d.
-    The rule integrates trigonometric polynomials of degree < n/2 times
-    the log factor exactly.
+    The log factor ln(4 sin^2((t_i - t_j)/2)) and its Kress weights R_d
+    depend only on d = (i - j) mod n; the rule integrates trigonometric
+    polynomials of degree < n/2 times the log factor exactly.  Taken at
+    min(d, n - d), so c_d = c_{n-d} exactly and the log factor is within
+    1 ulp.
     """
-    d = np.arange(n)
-    m = np.arange(1, n // 2)
-    R = -(4.0 * np.pi / n) * (
-        np.cos(2.0 * np.pi * np.outer(d, m) / n) / m
-    ).sum(axis=1)
-    R -= (4.0 * np.pi / n ** 2) * np.where(d % 2 == 0, 1.0, -1.0)
-    return R
+    d = np.minimum(np.arange(n), n - np.arange(n))
+    # (n / 2 pi) R_d = -2 sum_{m=1}^{n/2-1} cos(2 pi m d / n) / m - (2 / n) (-1)^d
+    c = -n * np.fft.irfft(np.r_[0.0, 1.0 / np.arange(1, n // 2), 2.0 / n], n)[d]
+    c[1:] -= np.log(4.0 * np.sin(np.pi * d[1:] / n) ** 2)
+    return c
 
 
 def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
-    """Kress-quadrature Nystrom block of one boundary, acting on charges."""
+    """Kress-quadrature Nystrom block of one boundary, acting on charges.
+
+    phi = phi_1 ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth phi_1, phi_2:
+    the log factor and its weights enter as the symmetric circulant matrix
+    of one column, C[i, j] = c_{(i - j) mod n}.
+    """
     k = ctx.k
     kr = k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes)
-    dt = bnd.t[:, None] - bnd.t[None, :]
-    # phi = phi_1 * ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth factors;
-    # y0 and the log factor are infinite on the diagonal, overwritten below
     j0 = scipy.special.j0(kr)
-    phi1 = -(1.0 / (4.0 * np.pi)) * j0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi2 = 0.25j * (j0 + 1j * scipy.special.y0(kr))
-        phi2 -= phi1 * np.log(4.0 * np.sin(0.5 * dt) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):   # y0(0) = -inf
+        block = 0.25j * (j0 + 1j * scipy.special.y0(kr))
     np.fill_diagonal(
-        phi2, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
+        block, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
     )
-    # Kress weights R_d as the circulant matrix R[i, j] = R_{(i - j) mod n}
-    phi2 += (bnd.n / (2.0 * np.pi)) * scipy.linalg.circulant(kress_log_weights(bnd.n)) * phi1
-    return phi2
+    block += (-(1.0 / (4.0 * np.pi)) * j0) * scipy.linalg.circulant(_kress_column(bnd.n))
+    return block
 
 
 @dataclass(frozen=True)
@@ -243,11 +241,10 @@ def scattered_matrix(
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x = pts[:, None, :]
-    cols = charges if charges.ndim == 2 else charges[:, None]
-    out = np.zeros((len(pts), cols.shape[1]), dtype=complex)
+    out = np.zeros((len(pts), charges.shape[1]), dtype=complex)
     offset = 0
     for bnd in system.boundaries:
-        nu = cols[offset : offset + bnd.n]
+        nu = charges[offset : offset + bnd.n]
         offset += bnd.n
         dist = boundary_distance(bnd.curve, pts)
         near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
@@ -324,14 +321,13 @@ def mie_scattered_circle(
     hy = hankel1_orders(nmax, ctx.k * r_y)
     theta_x = np.arctan2(rel_x[:, 1], rel_x[:, 0])
     theta_y = math.atan2(rel_y[1], rel_y[0])
-    acc = ratio[0] * hx[0] * hy[0]
-    running_max = np.abs(acc).max()
-    last = 0.0
-    for n in range(1, nmax + 1):
-        term = 2.0 * ratio[n] * hx[n] * hy[n] * np.cos(n * (theta_x - theta_y))
-        acc = acc + term
-        running_max = max(running_max, float(np.abs(acc).max()))
-        last = float(np.abs(term).max())
+    n = np.arange(nmax + 1)[:, None]
+    # order 0 has weight 1 and cos(0) = 1, so both factors are exact there
+    terms = (np.where(n == 0, 1.0, 2.0) * ratio[:, None] * hx * hy[:, None]
+             * np.cos(n * (theta_x - theta_y)))
+    partial = np.cumsum(terms, axis=0)
+    running_max = float(np.abs(partial).max())
+    last = float(np.abs(terms[-1]).max())
     if last > MIE_TAIL_TOLERANCE * max(running_max, 1e-300):
         warnings.warn(
             f"Mie tail term {last:.2e} above {MIE_TAIL_TOLERANCE:g} of the sum; "
@@ -339,7 +335,7 @@ def mie_scattered_circle(
             TruncationWarning,
             stacklevel=2,
         )
-    return -0.25j * acc
+    return -0.25j * partial[-1]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ POLYGON_SAMPLES = 2048
 
 
 ROLE_RECEIVER = "receiver"
-ROLE_DETERMINISTIC_SOURCE = "deterministic-source"
 ROLE_RANDOM_SOURCE = "random-source"
 
 

@@ -248,7 +248,6 @@ class IndicatorMap:
     mask: np.ndarray
     norm_min: float
     norm_max: float
-    mask_radius: float
     morozov: MorozovStats
 
 
@@ -322,7 +321,6 @@ def indicator_map(
         mask=valid.reshape(shape),
         norm_min=lo,
         norm_max=hi,
-        mask_radius=float(mask_radius),
         morozov=stats,
     )
 

@@ -74,5 +74,4 @@ def green2d(ctx: WaveContext, x, y):
     if np.any(r < SINGULARITY_FACTOR * ctx.wavelength):
         raise SingularityError("green2d evaluated at a source point")
     kr = ctx.k * r
-    vals = 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))
-    return complex(vals) if np.ndim(r) == 0 else vals
+    return 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))

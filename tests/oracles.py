@@ -3,8 +3,8 @@
 These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
-points in a polygon, one outer product per covariance realization, and
-np.savetxt for the CSV text.
+points in a polygon, one outer product per covariance realization, the
+cosine sum for the Kress log weights, and np.savetxt for the CSV text.
 Expected values frozen in the tests were produced by these routines.
 """
 
@@ -127,3 +127,17 @@ def savetxt_csv(path, columns, header: str, fmt="%.17g") -> None:
     with open(path, "w", newline="\n") as fh:
         np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
                    delimiter=",", header=header, comments="")
+
+
+def kress_weights_cosine_sum(n: int) -> np.ndarray:
+    """(n / 2 pi) R_d for d = 0..n-1 by the explicit cosine sum
+
+        R_d = -(4 pi / n) sum_{m=1}^{n/2-1} cos(2 pi m d / n) / m
+              - (4 pi / n^2) (-1)^d,
+
+    the Kress weights of the ln(4 sin^2((t - t_j)/2)) factor."""
+    d = np.arange(n)
+    m = np.arange(1, n // 2)
+    r = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(d, m) / n) / m).sum(axis=1)
+    r -= (4.0 * np.pi / n ** 2) * np.where(d % 2 == 0, 1.0, -1.0)
+    return (n / (2.0 * np.pi)) * r

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,8 @@ from passivelsm.forward import (
 from passivelsm.geometry import BoundaryCurve, discretize, place_scatterer
 from passivelsm.specfun import green2d
 
+from oracles import kress_weights_cosine_sum
+
 FIRST_J0_ZERO = 2.404825557695773
 
 
@@ -40,6 +43,40 @@ class TestAssembly:
         for system in (circle_system, kite_system):
             m = system.matrix
             assert np.linalg.norm(m - m.T) / np.linalg.norm(m) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("curve", [
+        BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5),
+        BoundaryCurve(kind="ellipse", params=(0.4, 0.25), rotation=0.3),
+        BoundaryCurve(kind="circle", params=(0.25,)),
+    ], ids=["kite", "ellipse", "circle"])
+    def test_matrix_bitwise_symmetric(self, ctx, curve, n):
+        m = assemble_single_layer(discretize(curve, n), ctx).matrix
+        assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024, 2048])
+    def test_kress_column_matches_cosine_sum(self, n):
+        column = forward._kress_column(n)
+        d = np.minimum(np.arange(n), n - np.arange(n))
+        weights = column.copy()
+        weights[1:] += np.log(4.0 * np.sin(np.pi * d[1:] / n) ** 2)
+        ref = kress_weights_cosine_sum(n)
+        assert np.abs(weights - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(column[1:], column[:0:-1])
+
+    def test_assembly_peak_memory(self, ctx):
+        # the complex matrix and its LU factors are 4 n^2 float64 values;
+        # the self block's n x n temporaries must stay within 5 more
+        n = 512
+        boundary = discretize(BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assemble_single_layer(boundary, ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * n * n * 8
 
     def test_condition_estimate_benign(self, circle_system):
         assert circle_system.condition_estimate < 1e4
@@ -289,7 +326,7 @@ class TestMultipleScatterers:
         ]
         system = assemble_single_layer([discretize(c, 64) for c in curves], ctx)
         m = system.matrix
-        assert np.linalg.norm(m - m.T) / np.linalg.norm(m) < 1e-10
+        assert np.array_equal(m, m.T)
         a, b = np.array([0.0, 3.0]), np.array([3.0, -2.0])
         assert total_field_matrix(system, a, b)[0, 0] == pytest.approx(
             total_field_matrix(system, b, a)[0, 0], rel=1e-8

@@ -1,10 +1,12 @@
-"""The CSV writers against np.savetxt on the same columns, and their memory."""
+"""The CSV writers against np.savetxt on the same columns, and the memory
+of writing and hashing the outputs."""
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from passivelsm import acquisition, inversion
+from passivelsm import acquisition, inversion, pipeline
 from passivelsm.geometry import circle_points
 from passivelsm.inversion import GridSpec, IndicatorMap, MorozovStats
 
@@ -38,7 +40,7 @@ def masked_map(nx, ny, seed=0):
     stats = MorozovStats(probed=int(mask.sum()), unsolvable=0, alpha_min=None,
                          alpha_median=None, alpha_max=None, newton_passes=0)
     return IndicatorMap(grid=grid, values=values, reciprocal=reciprocal, mask=mask,
-                        norm_min=0.0, norm_max=1.0, mask_radius=5.0, morozov=stats)
+                        norm_min=0.0, norm_max=1.0, morozov=stats)
 
 
 def traced_peak(fn):
@@ -94,3 +96,11 @@ class TestStreamingMemory:
         imap = masked_map(100, 100)
         peak = traced_peak(lambda: inversion.write_indicator_csv(imap, tmp_path / "i.csv"))
         assert peak < STREAM_PEAK_BYTES
+
+    def test_output_digest_is_streamed(self, tmp_path):
+        data = np.random.default_rng(0).bytes(2 * 1024 * 1024)
+        path = tmp_path / "out.bin"
+        path.write_bytes(data)
+        assert pipeline._sha256(path) == hashlib.sha256(data).hexdigest()
+        del data
+        assert traced_peak(lambda: pipeline._sha256(path)) < STREAM_PEAK_BYTES
