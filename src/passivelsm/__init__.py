@@ -25,7 +25,6 @@ from .geometry import (
     BoundaryCurve,
     DiscretizedBoundary,
     PointSet,
-    canonical_kite,
     circle_points,
     circle_points_uniform,
     discretize,

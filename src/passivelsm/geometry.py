@@ -1,11 +1,15 @@
 """Scatterer boundary curves, their discretization, and point arrays.
 
 Supported curves are the circle, the axis-aligned ellipse, and the
-standard kite (cos t + 0.65 cos 2t - 0.65, 1.5 sin t).  A curve is
-placed by scaling its canonical parametrization, rotating, and
-translating so that the midpoint of its canonical bounding box lands on
-the requested center.  All parametrizations are smooth, closed,
-counterclockwise, and non-self-intersecting.
+standard kite (cos t + 0.65 cos 2t - 0.65, 1.5 sin t).  Each is a
+trigonometric polynomial of degree <= 2, held as one table of real
+Fourier coefficients: the (x, y) rows c0, c1, c2, s1, s2 of the basis
+[1, cos t, cos 2t, sin t, sin 2t], with c0 putting the middle of the
+canonical bounding box at the origin.  A curve's points and derivatives
+are that basis, or its t-derivative, times the table scaled and rotated,
+and the points are then translated to the requested center.  All
+parametrizations are smooth, closed, counterclockwise, and
+non-self-intersecting.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ import scipy.spatial
 from .seeding import substream
 from .specfun import WaveContext
 
-# Canonical kite extremes: x in [-97/65, 1] (min at cos t = -5/13), y in
-# [-3/2, 3/2]; its diameter 3 is the vertical chord t = pi/2 .. 3*pi/2.
-_KITE_XMIN = -97.0 / 65.0
-_KITE_XMAX = 1.0
-_KITE_YMAX = 1.5
+# Rows c0, c1, c2, s1, s2 of the canonical kite.  Its x spans [-97/65, 1]
+# (min at cos t = -5/13), so c0 shifts it by 16/65; y spans [-3/2, 3/2],
+# and its diameter 3 is the vertical chord t = pi/2 .. 3*pi/2.
+_KITE_COEFFICIENTS = np.array(
+    [[-0.65 + 16.0 / 65.0, 0.0], [1.0, 0.0], [0.65, 0.0], [0.0, 1.5], [0.0, 0.0]])
 
 # Vertices of the polygon that stands in for a curve in interior and
 # distance queries.
@@ -34,12 +38,16 @@ ROLE_RECEIVER = "receiver"
 ROLE_RANDOM_SOURCE = "random-source"
 
 
-def canonical_kite(t):
-    """Canonical kite point(s) at parameter t in [0, 2*pi)."""
+def _fourier_basis(t, derivative: bool = False):
+    """[1, cos t, cos 2t, sin t, sin 2t] at each t, or its t-derivative,
+    on a last axis of length 5."""
     t = np.asarray(t, dtype=float)
-    x = np.cos(t) + 0.65 * np.cos(2.0 * t) - 0.65
-    y = 1.5 * np.sin(t)
-    return np.stack([x, y], axis=-1)
+    basis = np.empty((5,) + t.shape)
+    basis[0] = 0.0 if derivative else 1.0
+    for m in (1, 2):
+        cos, sin = np.cos(m * t), np.sin(m * t)
+        basis[m], basis[m + 2] = (-m * sin, m * cos) if derivative else (cos, sin)
+    return np.moveaxis(basis, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -69,53 +77,27 @@ class BoundaryCurve:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    # -- canonical shape -------------------------------------------------
-    def _canonical(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            r = self.params[0]
-            return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
-        return canonical_kite(t)
-
-    def _canonical_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            r = self.params[0]
-            return np.stack([-r * np.sin(t), r * np.cos(t)], axis=-1)
-        if self.kind == "ellipse":
-            a, b = self.params
-            return np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-        dx = -np.sin(t) - 1.3 * np.sin(2.0 * t)
-        dy = 1.5 * np.cos(t)
-        return np.stack([dx, dy], axis=-1)
-
-    def _canonical_box_middle(self):
-        if self.kind == "kite":
-            return np.array([(_KITE_XMIN + _KITE_XMAX) / 2.0, 0.0])
-        return np.zeros(2)
-
     def canonical_diameter(self) -> float:
         """Maximal chord length of the canonical curve."""
-        if self.kind == "circle":
-            return 2.0 * self.params[0]
-        if self.kind == "ellipse":
-            return 2.0 * max(self.params)
-        return 2.0 * _KITE_YMAX
+        if self.kind == "kite":
+            return 3.0
+        return 2.0 * max(self.params)
 
-    # -- placed curve ----------------------------------------------------
-    def _rotation_matrix(self):
+    def _placed_coefficients(self):
+        """The canonical coefficient rows, scaled and rotated."""
+        if self.kind == "kite":
+            rows = _KITE_COEFFICIENTS
+        else:   # semi-axes a and b; a circle's one radius is both
+            a, b = self.params[0], self.params[-1]
+            rows = np.array([[0.0, 0.0], [a, 0.0], [0.0, 0.0], [0.0, b], [0.0, 0.0]])
         c, s = np.cos(self.rotation), np.sin(self.rotation)
-        return np.array([[c, -s], [s, c]])
+        return (rows * self.scale) @ np.array([[c, s], [-s, c]])
 
     def point(self, t):
-        p = (self._canonical(t) - self._canonical_box_middle()) * self.scale
-        return p @ self._rotation_matrix().T + np.asarray(self.center)
+        return _fourier_basis(t) @ self._placed_coefficients() + np.asarray(self.center)
 
     def derivative(self, t):
-        return (self._canonical_derivative(t) * self.scale) @ self._rotation_matrix().T
+        return _fourier_basis(t, derivative=True) @ self._placed_coefficients()
 
     @property
     def diameter(self) -> float:
@@ -149,7 +131,6 @@ class DiscretizedBoundary:
 
     curve: BoundaryCurve
     n: int
-    t: np.ndarray
     nodes: np.ndarray
     normals: np.ndarray
     speeds: np.ndarray
@@ -177,10 +158,10 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
     # outward normal of a counterclockwise curve
     normals = np.column_stack([deriv[:, 1], -deriv[:, 0]]) / speeds[:, None]
     weights = (2.0 * np.pi / n) * speeds
-    for arr in (t, nodes, normals, speeds, weights):
+    for arr in (nodes, normals, speeds, weights):
         arr.flags.writeable = False
     return DiscretizedBoundary(
-        curve=curve, n=n, t=t, nodes=nodes, normals=normals, speeds=speeds,
+        curve=curve, n=n, nodes=nodes, normals=normals, speeds=speeds,
         weights=weights,
     )
 

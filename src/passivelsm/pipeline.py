@@ -357,6 +357,10 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
     )
 
     with _stage("geometry", timings):
+        if cfg.receiver_count > inversion.MAX_SVD_SIZE:
+            raise ValueError(f"receivers.count {cfg.receiver_count} exceeds "
+                             f"{inversion.MAX_SVD_SIZE}, the largest matrix size "
+                             "the SVD takes")
         ctx = cfg.ctx
         receivers = geometry.circle_points(
             cfg.receiver_radius, cfg.receiver_count, beta=0.0,

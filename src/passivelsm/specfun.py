@@ -4,8 +4,13 @@ Two kernels, both thin layers over scipy.special:
 
 - hankel1_orders: H_0^(1)..H_nmax^(1) of real arguments stacked by
   order (jv/yv), for the Mie series and its checks;
-- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0, the one kernel path of
-  the forward solver and the probing right-hand sides.
+- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0 at point pairs, for the
+  solver's right-hand sides, fields and coupling blocks and the probing
+  right-hand sides.
+
+Two callers evaluate j0/y0 on a distance matrix themselves: the Kress
+self block (forward._self_block, whose diagonal is singular) and the
+imaginary bracket (acquisition.imaginary_bracket, j0 only).
 
 scipy.special.hankel1 (AMOS) is not used: it is slower than j0 + y0 and
 returns nan where Y_n overflows.

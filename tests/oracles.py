@@ -4,7 +4,8 @@ These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
 points in a polygon, one outer product per covariance realization, the
-cosine sum for the Kress log weights, and np.savetxt for the CSV text.
+cosine sum for the Kress log weights, np.savetxt for the CSV text, and
+the explicit formulas of the scatterer curves.
 Expected values frozen in the tests were produced by these routines.
 """
 
@@ -141,3 +142,38 @@ def kress_weights_cosine_sum(n: int) -> np.ndarray:
     r = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(d, m) / n) / m).sum(axis=1)
     r -= (4.0 * np.pi / n ** 2) * np.where(d % 2 == 0, 1.0, -1.0)
     return (n / (2.0 * np.pi)) * r
+
+
+# Middle of the canonical kite's bounding box: x spans [-97/65, 1]
+# (min at cos t = -5/13) and y spans [-3/2, 3/2].
+KITE_BOX_MIDDLE = np.array([(-97.0 / 65.0 + 1.0) / 2.0, 0.0])
+
+
+def canonical_kite(t):
+    """(cos t + 0.65 cos 2t - 0.65, 1.5 sin t) and its t-derivative."""
+    t = np.asarray(t, dtype=float)
+    point = np.stack([np.cos(t) + 0.65 * np.cos(2.0 * t) - 0.65, 1.5 * np.sin(t)], axis=-1)
+    deriv = np.stack([-np.sin(t) - 1.3 * np.sin(2.0 * t), 1.5 * np.cos(t)], axis=-1)
+    return point, deriv
+
+
+def canonical_ellipse(a: float, b: float, t):
+    """(a cos t, b sin t) and its t-derivative; a circle has a = b."""
+    t = np.asarray(t, dtype=float)
+    point = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+    deriv = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
+    return point, deriv
+
+
+def placed_curve(kind: str, params, center, scale: float, rotation: float, t):
+    """Point and derivative of center + scale * R(rotation) @ (canonical(t)
+    - box middle), one explicit formula per kind."""
+    if kind == "kite":
+        point, deriv = canonical_kite(t)
+        point = point - KITE_BOX_MIDDLE
+    else:
+        point, deriv = canonical_ellipse(params[0], params[-1], t)
+    c, s = math.cos(rotation), math.sin(rotation)
+    rot = np.array([[c, -s], [s, c]])
+    return (scale * point @ rot.T + np.asarray(center, dtype=float),
+            scale * deriv @ rot.T)

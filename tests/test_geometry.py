@@ -7,7 +7,6 @@ from passivelsm import geometry, pipeline
 from passivelsm.geometry import (
     BoundaryCurve,
     boundary_distance,
-    canonical_kite,
     circle_points,
     circle_points_uniform,
     contains_points,
@@ -16,7 +15,7 @@ from passivelsm.geometry import (
 )
 from passivelsm.specfun import WaveContext
 
-from oracles import polygon_contains_even_odd
+from oracles import KITE_BOX_MIDDLE, canonical_kite, placed_curve, polygon_contains_even_odd
 
 PRESET_SCENES = ["ellipse-N", "ellipse-C", "kite-C", "wavenumber(4pi,160)",
                  "setup2(200)", "limited-aperture(I)"]
@@ -42,24 +41,53 @@ def _random_curves(count, seed):
 
 
 class TestCanonicalKite:
-    def test_reference_points(self):
-        np.testing.assert_allclose(canonical_kite(0.0), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(canonical_kite(np.pi), [-1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(canonical_kite(np.pi / 2), [-1.3, 1.5], atol=1e-15)
+    """The kite's coefficient row against the explicit formula."""
+
+    kite = BoundaryCurve(kind="kite")
+
+    @pytest.mark.parametrize("t, expected", [
+        (0.0, [1.0, 0.0]), (np.pi, [-1.0, 0.0]), (np.pi / 2, [-1.3, 1.5])])
+    def test_reference_points(self, t, expected):
+        np.testing.assert_allclose(canonical_kite(t)[0], expected, atol=1e-15)
+        np.testing.assert_allclose(self.kite.point(t), expected - KITE_BOX_MIDDLE,
+                                   atol=1e-15)
 
     def test_mirror_symmetry(self):
         t = np.linspace(0.1, np.pi - 0.1, 40)
-        upper = canonical_kite(t)
-        lower = canonical_kite(2 * np.pi - t)
+        upper = self.kite.point(t)
+        lower = self.kite.point(2 * np.pi - t)
         np.testing.assert_allclose(upper[:, 0], lower[:, 0], atol=1e-14)
         np.testing.assert_allclose(upper[:, 1], -lower[:, 1], atol=1e-14)
 
     def test_diameter_is_vertical_chord(self):
         t = 2 * np.pi * np.arange(1024) / 1024
-        pts = canonical_kite(t)
+        pts = self.kite.point(t)
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        curve = BoundaryCurve(kind="kite")
-        assert d.max() == pytest.approx(curve.canonical_diameter(), abs=1e-9)
+        assert d.max() == pytest.approx(self.kite.canonical_diameter(), abs=1e-9)
+
+    def test_bounding_box_middle_is_origin(self):
+        pts = self.kite.point(2 * np.pi * np.arange(2 ** 16) / 2 ** 16)
+        for axis in (0, 1):
+            assert pts[:, axis].min() + pts[:, axis].max() == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("kite", ()), ("ellipse", (1.5, 1.0)), ("ellipse", (0.4, 2.0)), ("circle", (0.7,))])
+def test_point_and_derivative_match_explicit_formulas(kind, params):
+    """Random t, center, scale and rotation, within 1e-14 of the diameter."""
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        center = rng.uniform(-3.0, 3.0, 2)
+        scale, rotation = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0 * np.pi)
+        curve = BoundaryCurve(kind=kind, params=params, center=tuple(center),
+                              scale=scale, rotation=rotation)
+        t = rng.uniform(0.0, 2.0 * np.pi, 64)
+        point, deriv = placed_curve(kind, params, center, scale, rotation, t)
+        tol = 1e-14 * curve.diameter
+        np.testing.assert_allclose(curve.point(t), point, rtol=0, atol=tol)
+        np.testing.assert_allclose(curve.derivative(t), deriv, rtol=0, atol=tol)
+        # a scalar parameter gives one point
+        np.testing.assert_allclose(curve.point(t[0]), point[0], rtol=0, atol=tol)
 
 
 class TestPlacement:

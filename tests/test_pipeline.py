@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
-from passivelsm import acquisition, cli, forward, geometry, pipeline
+from passivelsm import acquisition, cli, forward, geometry, inversion, pipeline
 from passivelsm.pipeline import ExperimentConfig, PipelineError, preset, run
 
 
@@ -247,6 +247,19 @@ class TestExecute:
         cfg = tiny_config()
         pipeline.execute(cfg)
         assert sorted(sizes) == sorted([cfg.receiver_count, cfg.source_count])
+
+    def test_too_many_receivers_fail_in_geometry_stage(self):
+        count = inversion.MAX_SVD_SIZE + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(PipelineError, match=f"receivers.count {count}") as err:
+                pipeline.execute(ExperimentConfig(receiver_count=count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.stage == "geometry"
+        # refused before the J x J matrix (67 MB at J = 2049) or any field exists
+        assert peak < 2 * 2 ** 20
 
     def test_bad_wavenumber_fails_in_geometry_stage(self):
         with pytest.raises(PipelineError) as err:
@@ -494,6 +507,14 @@ class TestCli:
         assert err.startswith("error: [assemble] ") and f"needs {nodes} nodes" in err
         # refused before the n x n system exists (268 MB at 4096 nodes)
         assert peak < 16 * 2 ** 20
+
+    def test_too_many_receivers_fail_in_geometry_stage(self, tmp_path, capsys):
+        rc = cli.main(["run", "--preset", "kite-C", "--out", str(tmp_path),
+                       "--set", "receivers.count=2049"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: [geometry] receivers.count 2049 exceeds 2048, the largest "
+            "matrix size the SVD takes\n")
 
     def test_zero_matrix_run_fails_in_noise_stage(self, tmp_path, capsys):
         rc = cli.main([
