@@ -155,7 +155,7 @@ def assemble_single_layer(
         matrix[sa, sa] = _self_block(ba, ctx)
         for b in range(a + 1, len(boundaries)):
             sb = slice(offs[b], offs[b + 1])
-            block = green2d(ctx, ba.nodes[:, None, :], boundaries[b].nodes[None, :, :])
+            block = green2d(ctx, ba.nodes, boundaries[b].nodes)
             matrix[sa, sb] = block
             matrix[sb, sa] = block.T
     if ntot:
@@ -205,7 +205,7 @@ def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     require_exterior(system, src, what="source")
     if system.size == 0:
         return np.zeros((0, len(src)), dtype=complex)
-    rhs = -green2d(system.ctx, system.nodes[:, None, :], src[None, :, :])
+    rhs = -green2d(system.ctx, system.nodes, src)
     return scipy.linalg.lu_solve(system.lu, rhs)
 
 
@@ -240,7 +240,6 @@ def scattered_matrix(
     1e-6 relative (a bound on the 2x error; the 4x value is returned).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = pts[:, None, :]
     out = np.zeros((len(pts), charges.shape[1]), dtype=complex)
     offset = 0
     for bnd in system.boundaries:
@@ -249,7 +248,7 @@ def scattered_matrix(
         dist = boundary_distance(bnd.curve, pts)
         near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
         far = ~near
-        out[far] += green2d(system.ctx, x[far], bnd.nodes[None, :, :]) @ nu
+        out[far] += green2d(system.ctx, pts[far], bnd.nodes) @ nu
         if not near.any():
             continue
         fields = []
@@ -258,7 +257,7 @@ def scattered_matrix(
             nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
             # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
             # so the resampled charges over `factor` are the refined charges.
-            g = green2d(system.ctx, x[near], nodes[None, :, :])
+            g = green2d(system.ctx, pts[near], nodes)
             fields.append(g @ (_trig_resample(nu, factor) / factor))
         coarse, fine = fields
         miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
@@ -277,11 +276,8 @@ def scattered_matrix(
 
 def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndarray:
     """u(x_j, z_l) for all receiver/source pairs, shape (J, L)."""
-    recv = np.atleast_2d(np.asarray(receivers, dtype=float))
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    phi = green2d(system.ctx, recv[:, None, :], src[None, :, :])
-    charges = solve_charges(system, src)
-    return scattered_matrix(system, charges, recv) + phi
+    phi = green2d(system.ctx, receivers, sources)
+    return scattered_matrix(system, solve_charges(system, sources), receivers) + phi
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +346,8 @@ class PointScattererConfig:
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if len(c) != len(r):
             raise ValueError("centers and radii must have equal length")
+        if not (np.isfinite(c).all() and np.isfinite(r).all()):
+            raise ValueError("point-scatterer centers and radii must be finite")
         if np.any(r <= 0):
             raise ValueError("radii must be positive")
         object.__setattr__(self, "centers", c)
@@ -358,7 +356,7 @@ class PointScattererConfig:
     def reflection_coefficients(self, ctx: WaveContext) -> np.ndarray:
         """lambda_l = 4i / H_0^(1)(k r_l) = -1 / phi at distance r_l, from (k, r_l)."""
         rim = np.stack([self.radii, np.zeros_like(self.radii)], axis=-1)
-        return -1.0 / green2d(ctx, rim, np.zeros(2))
+        return -1.0 / green2d(ctx, rim, np.zeros(2))[:, 0]
 
 
 def point_scatterer_scattered(
@@ -371,9 +369,7 @@ def point_scatterer_scattered(
     for every point of `x` and source `y`, shape (P, S); a single point is
     a batch of one.
     """
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
-    ys = np.atleast_2d(np.asarray(y, dtype=float))
     c = config.centers
-    phi_xc = green2d(ctx, xs[:, None, :], c[None, :, :])   # (P, L)
-    phi_cy = green2d(ctx, c[:, None, :], ys[None, :, :])   # (L, S)
+    phi_xc = green2d(ctx, x, c)   # (P, L)
+    phi_cy = green2d(ctx, c, y)   # (L, S)
     return (phi_xc * config.reflection_coefficients(ctx)) @ phi_cy

@@ -74,8 +74,7 @@ def svd(matrix) -> SvdFactors:
 
 def rhs_vectors(receivers: PointSet, zs, ctx: WaveContext) -> np.ndarray:
     """Right-hand sides for many probe points, shape (J, P)."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    return green2d(ctx, receivers.points[:, None, :], zs[None, :, :])
+    return green2d(ctx, receivers.points, zs)
 
 
 def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
@@ -263,7 +262,8 @@ def indicator_map(
     SVD is computed per matrix; all probe points share it.  Points
     outside the mask radius (default: the receiver circle radius) are
     skipped; points whose discrepancy equation has no root are recorded
-    as failures in the mask.
+    as failures in the mask.  A negative or NaN mask radius raises
+    ValueError.
     """
     receivers = matrix.receivers
     delta = matrix.delta
@@ -271,6 +271,8 @@ def indicator_map(
         raise ValueError("indicator_map requires a positive noise level delta")
     if mask_radius is None:
         mask_radius = receivers.radius
+    if not mask_radius >= 0:
+        raise ValueError(f"mask_radius must be >= 0, got {mask_radius}")
     factors = svd(matrix)
     pts = grid.points()
     inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2

@@ -4,9 +4,9 @@ Two kernels, both thin layers over scipy.special:
 
 - hankel1_orders: H_0^(1)..H_nmax^(1) of real arguments stacked by
   order (jv/yv), for the Mie series and its checks;
-- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0 at point pairs, for the
-  solver's right-hand sides, fields and coupling blocks and the probing
-  right-hand sides.
+- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0 on the (P, Q) distance
+  matrix of P points and Q sources, for the solver's right-hand sides,
+  fields and coupling blocks and the probing right-hand sides.
 
 Two callers evaluate j0/y0 on a distance matrix themselves: the Kress
 self block (forward._self_block, whose diagonal is singular) and the
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.spatial.distance
 import scipy.special
 
 # Relative distance below which two points count as coincident.
@@ -62,20 +63,18 @@ def hankel1_orders(nmax: int, x) -> np.ndarray:
 
 
 def green2d(ctx: WaveContext, x, y):
-    """Free-space Green's function (i/4) H_0^(1)(k |x - y|).
+    """Free-space Green's function (i/4) H_0^(1)(k |x - y|) for every pair.
 
-    `x` and `y` are points or broadcast-compatible arrays of points with
-    a trailing axis of length 2.  Symmetric in its two arguments.
+    `x` is (P, 2) and `y` is (Q, 2); the result is (P, Q) with entry
+    [p, q] = phi(x_p, y_q), so green2d(ctx, y, x) is its transpose.  A
+    single point is a batch of one.
 
     Raises
     ------
     SingularityError
         If any pair is closer than 1e-14 wavelengths.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = x - y
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    r = scipy.spatial.distance.cdist(np.atleast_2d(x), np.atleast_2d(y))
     if np.any(r < SINGULARITY_FACTOR * ctx.wavelength):
         raise SingularityError("green2d evaluated at a source point")
     kr = ctx.k * r

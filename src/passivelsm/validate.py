@@ -222,7 +222,7 @@ def criterion_3_helmholtz_kirchhoff():
     x = np.array([1.2 * _LAM, -0.7 * _LAM])
     y = np.array([-2.3 * _LAM, 0.4 * _LAM])
     u_ref = forward.total_field_matrix(system, x, y)[0, 0]
-    lhs_phi = green2d(_CTX, x, y)
+    lhs_phi = green2d(_CTX, x, y)[0, 0]
     lhs_phi = lhs_phi - np.conj(lhs_phi)
     lhs_tot = u_ref - np.conj(u_ref)
     e_phi, e_tot = [], []
@@ -231,8 +231,7 @@ def criterion_3_helmholtz_kirchhoff():
         th = 2.0 * math.pi * np.arange(nq) / nq
         z = radius * _LAM * np.column_stack([np.cos(th), np.sin(th)])
         w = 2.0 * math.pi * radius * _LAM / nq
-        px = green2d(_CTX, x[None, :], z)
-        py = green2d(_CTX, y[None, :], z)
+        px, py = green2d(_CTX, np.vstack([x, y]), z)
         quad = 2j * _CTX.k * w * np.sum(np.conj(px) * py)
         e_phi.append(float(abs(lhs_phi - quad) / abs(lhs_phi)))
         u = forward.total_field_matrix(system, np.vstack([x, y]), z)

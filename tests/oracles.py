@@ -4,14 +4,16 @@ These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
 points in a polygon, one outer product per covariance realization, the
-cosine sum for the Kress log weights, np.savetxt for the CSV text, and
-the explicit formulas of the scatterer curves.
+cosine sum for the Kress log weights, np.savetxt for the CSV text, the
+explicit formulas of the scatterer curves, and the elementwise
+broadcast formula of the Green's function.
 Expected values frozen in the tests were produced by these routines.
 """
 
 import math
 
 import numpy as np
+import scipy.special
 
 from passivelsm.seeding import substream
 
@@ -60,6 +62,15 @@ def jn_series(n: int, x: float, terms: int = 200) -> float:
 def green2d_series(k: float, x, y) -> complex:
     r = math.hypot(x[0] - y[0], x[1] - y[1])
     return 0.25j * (j0_series(k * r) + 1j * y0_series(k * r))
+
+
+def green2d_broadcast(k: float, x, y) -> np.ndarray:
+    """(i/4) H_0^(1)(k |x - y|) elementwise over broadcast point arrays
+    with a trailing axis of length 2: the formula green2d used before
+    it took point sets."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    kr = k * np.sqrt(np.sum(diff * diff, axis=-1))
+    return 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))
 
 
 def singular_values_power_iteration(

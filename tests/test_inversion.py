@@ -76,7 +76,7 @@ class TestRhsVector:
         z = np.array([0.7, -0.3])
         vec = rhs_vectors(receivers, z, ctx)[:, 0]
         for j, x in enumerate(receivers.points):
-            assert vec[j] == pytest.approx(green2d(ctx, x, z), rel=1e-14)
+            assert vec[j] == pytest.approx(green2d(ctx, x, z)[0, 0], rel=1e-14)
 
     def test_magnitude_is_quarter_hankel(self, receivers, ctx):
         z = np.array([1.0, 1.0])
@@ -313,6 +313,13 @@ class TestIndicatorMap:
         inside = ~outside
         assert imap.mask.ravel()[inside].all()
         assert np.all(imap.values.ravel()[inside] > 0.0)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_mask_radius(self, ctx, radius):
+        receivers = circle_points(5.0, 10)
+        matrix = make_field_matrix(np.eye(10, dtype=complex), receivers, delta=0.05)
+        with pytest.raises(ValueError, match="mask_radius must be >= 0"):
+            indicator_map(matrix, self.GRID, ctx, mask_radius=radius)
 
     def test_reciprocal_normalized(self, ctx):
         rng = np.random.default_rng(7)

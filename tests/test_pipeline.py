@@ -534,11 +534,20 @@ class TestCli:
         (["--preset", "kite-C", "--set", "foo=1"], "config"),
         (["--preset", "kite-C", "--set", "sources.mode=unifrom"], "geometry"),
         (["--preset", "kite-C", "--set", "receivers.radius=0"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.radius=nan"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.radius=inf"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.centers=nan,0"], "geometry"),
+        (["--preset", "kite-C", "--set", "grid.mask_radius=-1",
+          "--set", "receivers.count=12", "--set", "sources.count=16"], "invert"),
+        (["--preset", "kite-C", "--set", "grid.mask_radius=nan",
+          "--set", "receivers.count=12", "--set", "sources.count=16"], "invert"),
         (["--preset", "torus-N"], "config"),
         (["--preset", "setup2("], "config"),
         (["--config", "missing.ini"], "config"),
     ], ids=["misspelt-key", "unparsable-int", "lone-arc_min", "override-without-key",
-            "unknown-source-mode", "zero-radius", "unknown-preset",
+            "unknown-source-mode", "zero-radius", "point-radius-nan",
+            "point-radius-inf", "point-center-nan", "negative-mask-radius",
+            "nan-mask-radius", "unknown-preset",
             "malformed-preset", "missing-config-file"])
     def test_bad_config_exits_1_with_stage(self, tmp_path, monkeypatch, capsys,
                                            argv, stage):

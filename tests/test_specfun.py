@@ -6,7 +6,7 @@ import scipy.special
 
 from passivelsm.specfun import SingularityError, WaveContext, green2d, hankel1_orders
 
-from oracles import green2d_series, j0_series, jn_series, y0_series
+from oracles import green2d_broadcast, green2d_series, j0_series, jn_series, y0_series
 
 # Frozen from the series oracles above.
 J0_AT_1 = 0.7651976865579666
@@ -120,7 +120,7 @@ class TestOverflow:
 
 class TestGreen2d:
     def test_value_against_series_oracle(self, ctx):
-        val = green2d(ctx, (0.0, 0.0), (1.0, 0.0))
+        val = green2d(ctx, (0.0, 0.0), (1.0, 0.0))[0, 0]
         ref = green2d_series(ctx.k, (0.0, 0.0), (1.0, 0.0))
         assert val == pytest.approx(ref, abs=1e-12)
         # frozen from the oracle
@@ -131,7 +131,7 @@ class TestGreen2d:
         rng = np.random.default_rng(3)
         x = rng.uniform(-5, 5, size=(100, 2))
         y = rng.uniform(-5, 5, size=(100, 2))
-        np.testing.assert_allclose(green2d(ctx, x, y), green2d(ctx, y, x),
+        np.testing.assert_allclose(np.diag(green2d(ctx, x, y)), np.diag(green2d(ctx, y, x)),
                                    rtol=0, atol=1e-15)
 
     def test_imaginary_part_is_quarter_j0(self, ctx):
@@ -142,11 +142,43 @@ class TestGreen2d:
         y = rng.uniform(-0.6, 0.6, size=(50, 2))
         r = np.sqrt(((x - y) ** 2).sum(axis=1))
         expected = 0.25 * np.array([j0_series(ctx.k * ri) for ri in r])
-        np.testing.assert_allclose(green2d(ctx, x, y).imag, expected, atol=1e-11)
+        np.testing.assert_allclose(np.diag(green2d(ctx, x, y)).imag, expected, atol=1e-11)
 
     def test_singularity_guard(self, ctx):
         with pytest.raises(SingularityError):
             green2d(ctx, (1.0, 2.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("seed, p, q", [(0, 1, 7), (1, 13, 1), (2, 40, 33)])
+    def test_every_pair_equals_broadcast_formula_bitwise(self, ctx, seed, p, q):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-8, 8, size=(p, 2))
+        y = rng.uniform(-8, 8, size=(q, 2))
+        g = green2d(ctx, x, y)
+        assert g.shape == (p, q)
+        np.testing.assert_array_equal(g, green2d_broadcast(ctx.k, x[:, None, :], y[None, :, :]))
+
+    def test_swapped_arguments_give_transpose_bitwise(self, ctx):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-5, 5, size=(17, 2))
+        y = rng.uniform(-5, 5, size=(9, 2))
+        np.testing.assert_array_equal(green2d(ctx, x, y), green2d(ctx, y, x).T)
+
+    def test_one_coincident_off_diagonal_pair_raises(self, ctx):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-5, 5, size=(6, 2))
+        y = rng.uniform(-5, 5, size=(4, 2))
+        green2d(ctx, x, y)    # no pair coincides yet
+        y[2] = x[4]
+        with pytest.raises(SingularityError):
+            green2d(ctx, x, y)
+
+    def test_single_points_are_batches_of_one(self, ctx):
+        y = np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 1.0]])
+        assert green2d(ctx, (0.0, 0.0), (1.0, 0.0)).shape == (1, 1)
+        assert green2d(ctx, (0.0, 0.0), y).shape == (1, 3)
+        assert green2d(ctx, y, np.zeros(2)).shape == (3, 1)
+        np.testing.assert_array_equal(green2d(ctx, (0.0, 0.0), y)[0],
+                                      green2d(ctx, y, (0.0, 0.0))[:, 0])
 
     def test_satisfies_helmholtz_equation(self, ctx):
         # five-point Laplacian residual shrinks ~4x when h halves
