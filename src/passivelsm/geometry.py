@@ -170,28 +170,36 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
 # Interior / distance queries (used for validation and image metrics)
 # ---------------------------------------------------------------------------
 def _nearest_vertex(curve: BoundaryCurve, points):
-    """Points, the POLYGON_SAMPLES-node sampling of the curve, and each
-    point's distance to and index of its nearest node (one k-d tree query)."""
+    """Points, and for each its nearest of the POLYGON_SAMPLES vertices
+    x(t_j), t_j = 2 pi j / POLYGON_SAMPLES: that vertex, its parameter t_j
+    and the distance to it (one k-d tree query).  Only curve.point is
+    evaluated; no derivative, speed or normal."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = discretize(curve, POLYGON_SAMPLES)
-    dist, idx = scipy.spatial.cKDTree(poly.nodes).query(pts)
-    return pts, poly, dist, idx
+    t = 2.0 * np.pi * np.arange(POLYGON_SAMPLES) / POLYGON_SAMPLES
+    vertices = curve.point(t)
+    dist, idx = scipy.spatial.cKDTree(vertices).query(pts)
+    return pts, vertices[idx], t[idx], dist
 
 
 def contains_points(curve: BoundaryCurve, points):
-    """True where a point lies behind the outward normal at its nearest node.
+    """True where a point lies behind the outward normal at its nearest vertex.
 
     The nearest point of a smooth closed curve lies along the normal, so
     the sign is exact away from the curve; it can err only within a small
-    fraction of a node spacing of the boundary.
+    fraction of a vertex spacing of the boundary.  The derivative x'(t) is
+    evaluated at the nearest vertices only, and the sign is taken against
+    the unnormalised outward normal (x'_y, -x'_x) of the counterclockwise
+    curve: dividing by the positive speed would not change it.
     """
-    pts, poly, _, idx = _nearest_vertex(curve, points)
-    return ((pts - poly.nodes[idx]) * poly.normals[idx]).sum(axis=1) < 0
+    pts, vertex, t, _ = _nearest_vertex(curve, points)
+    d = curve.derivative(t)
+    off = pts - vertex
+    return off[:, 0] * d[:, 1] - off[:, 1] * d[:, 0] < 0
 
 
 def boundary_distance(curve: BoundaryCurve, points):
-    """Distance from each point to the nearest node of the sampled curve."""
-    return _nearest_vertex(curve, points)[2]
+    """Distance from each point to the nearest vertex of the sampled curve."""
+    return _nearest_vertex(curve, points)[3]
 
 
 # ---------------------------------------------------------------------------

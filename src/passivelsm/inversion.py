@@ -77,13 +77,19 @@ def rhs_vectors(receivers: PointSet, zs, ctx: WaveContext) -> np.ndarray:
     return green2d(ctx, receivers.points, zs)
 
 
+def _discrepancy_weights(a, sigma2, delta2):
+    """(a^2 - delta^2 sigma^2) / (a + sigma^2)^2, so F(a) = weights . b2."""
+    return (a * a - delta2 * sigma2) / (a + sigma2) ** 2
+
+
 def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
     """F and dF/dlog(alpha) at alpha[i] for column cols[i] of b2.
 
     With r = 1/(alpha + sigma^2) and q = r^2 b2, F = alpha^2 sum(q) -
     delta^2 sigma^2.q and dF/dalpha = 2 (alpha + delta^2) sigma^2.(q r).
     b2 is one block of probe columns, so a pass holds two J x block
-    temporaries.
+    temporaries.  Only the Newton passes call it: the no-root test at
+    ALPHA_FLOOR is one weight-vector product in _morozov_many.
     """
     r = np.add.outer(alpha, sigma2)
     np.reciprocal(r, out=r)
@@ -99,25 +105,25 @@ def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
     """Morozov's alpha for every column of squared coefficients b2 = |U* phi_z|^2.
 
     Returns (alpha, passes).  alpha is inf where F(ALPHA_FLOOR) >= 0: no
-    root exists, and the alpha -> inf limit gives ||g|| = 0.  Every term
-    of F is <= 0 at delta sigma_min and >= 0 at delta sigma_max, so one
-    (K x J)(J x block) product of F on K log-spaced alpha in between brackets
+    root exists, and the alpha -> inf limit gives ||g|| = 0.  That test is
+    one (J,)(J x block) product of the _discrepancy_weights at ALPHA_FLOOR,
+    made first, so a block without roots stops before the bracket (whose
+    log(delta sigma_max) needs sigma_max > 0).  Every term of F is <= 0 at
+    delta sigma_min and >= 0 at delta sigma_max, so one (K x J)(J x block)
+    product of the same weights on K log-spaced alpha in between brackets
     each root.  Newton steps in log(alpha) from the secant of the bracket
     then refine it, each pass over the columns still active.  b2 is one
     block of probe columns, so each step holds one J x block temporary.
     """
     sigma2 = sigma ** 2
     delta2 = delta ** 2
-    every = np.arange(b2.shape[1])
     alpha = np.full(b2.shape[1], np.inf)
-    f_floor, _ = _discrepancy_slope(np.full(b2.shape[1], ALPHA_FLOOR), every, sigma2, delta2, b2)
-    active = every[f_floor < 0]
+    active = np.flatnonzero(_discrepancy_weights(ALPHA_FLOOR, sigma2, delta2) @ b2 < 0)
     if not active.size:
         return alpha, 0
     grid = np.linspace(np.log(max(delta * float(sigma.min()), ALPHA_FLOOR)),
                        np.log(delta * float(sigma.max())), MOROZOV_BRACKET_POINTS)
-    a = np.exp(grid)[:, None]
-    f_grid = (a * a - delta2 * sigma2) / (a + sigma2) ** 2 @ b2
+    f_grid = _discrepancy_weights(np.exp(grid)[:, None], sigma2, delta2) @ b2
     above = f_grid >= 0
     top = np.where(above.any(axis=0), above.argmax(axis=0), len(grid) - 1)[active]
     bottom = np.maximum(top - 1, 0)

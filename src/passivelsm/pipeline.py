@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 import scipy
+from scipy.spatial.distance import cdist
 
 from . import BLAS_THREAD_VARIABLES, acquisition, forward, geometry, inversion
 from .specfun import WaveContext
@@ -376,6 +377,20 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 centers=np.array(cfg.point_centers),
                 radii=np.full(len(cfg.point_centers), cfg.point_radius),
             )
+            c, r = point_config.centers, point_config.radii
+            clearance = forward.MIN_SOURCE_CLEARANCE * ctx.wavelength
+            if (cdist(receivers.points, c) < r + clearance).any():
+                raise ValueError(
+                    "a receiver lies inside or within "
+                    f"{forward.MIN_SOURCE_CLEARANCE:g} wavelengths of a point scatterer")
+            apart = cdist(c, c)
+            overlap = apart <= r[:, None] + r
+            np.fill_diagonal(overlap, False)
+            if overlap.any():
+                l, m = np.argwhere(overlap)[0]
+                raise ValueError(
+                    f"point scatterers {l + 1} and {m + 1} overlap: their centres are "
+                    f"{apart[l, m]:g} apart, within the sum {r[l] + r[m]:g} of their radii")
         elif cfg.scatterer_kind != "none":
             try:
                 builder = _CURVE_BUILDERS[cfg.scatterer_kind]

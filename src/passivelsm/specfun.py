@@ -6,7 +6,10 @@ Two kernels, both thin layers over scipy.special:
   order (jv/yv), for the Mie series and its checks;
 - green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0 on the (P, Q) distance
   matrix of P points and Q sources, for the solver's right-hand sides,
-  fields and coupling blocks and the probing right-hand sides.
+  fields and coupling blocks and the probing right-hand sides.  The
+  distances are scaled by k in place and y0 and j0 written straight
+  into the real and imaginary parts of the one complex output, so no
+  complex temporary exists.
 
 Two callers evaluate j0/y0 on a distance matrix themselves: the Kress
 self block (forward._self_block, whose diagonal is singular) and the
@@ -77,5 +80,11 @@ def green2d(ctx: WaveContext, x, y):
     r = scipy.spatial.distance.cdist(np.atleast_2d(x), np.atleast_2d(y))
     if np.any(r < SINGULARITY_FACTOR * ctx.wavelength):
         raise SingularityError("green2d evaluated at a source point")
-    kr = ctx.k * r
-    return 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))
+    r *= ctx.k      # k r, in place
+    # (i/4)(j0 + i y0) = -y0/4 + i j0/4, written into one complex array
+    out = np.empty(r.shape, dtype=complex)
+    scipy.special.y0(r, out=out.real)
+    scipy.special.j0(r, out=out.imag)
+    out.real *= -0.25
+    out.imag *= 0.25
+    return out

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own evaluation paths: plain
 Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
-points in a polygon, one outer product per covariance realization, the
+points in a polygon, the nearest node's unit normal for the same
+question, one outer product per covariance realization, the
 cosine sum for the Kress log weights, np.savetxt for the CSV text, the
 explicit formulas of the scatterer curves, and the elementwise
 broadcast formula of the Green's function.
@@ -13,6 +14,7 @@ Expected values frozen in the tests were produced by these routines.
 import math
 
 import numpy as np
+import scipy.spatial
 import scipy.special
 
 from passivelsm.seeding import substream
@@ -153,6 +155,15 @@ def kress_weights_cosine_sum(n: int) -> np.ndarray:
     r = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(d, m) / n) / m).sum(axis=1)
     r -= (4.0 * np.pi / n ** 2) * np.where(d % 2 == 0, 1.0, -1.0)
     return (n / (2.0 * np.pi)) * r
+
+
+def contains_by_unit_normal(nodes, normals, points) -> np.ndarray:
+    """Inside where a point lies behind the outward unit normal at its
+    nearest node: the formula contains_points used when it read the
+    normals of a full discretization."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = scipy.spatial.cKDTree(nodes).query(pts)[1]
+    return ((pts - nodes[idx]) * normals[idx]).sum(axis=1) < 0
 
 
 # Middle of the canonical kite's bounding box: x spans [-97/65, 1]

@@ -15,7 +15,13 @@ from passivelsm.geometry import (
 )
 from passivelsm.specfun import WaveContext
 
-from oracles import KITE_BOX_MIDDLE, canonical_kite, placed_curve, polygon_contains_even_odd
+from oracles import (
+    KITE_BOX_MIDDLE,
+    canonical_kite,
+    contains_by_unit_normal,
+    placed_curve,
+    polygon_contains_even_odd,
+)
 
 PRESET_SCENES = ["ellipse-N", "ellipse-C", "kite-C", "wavenumber(4pi,160)",
                  "setup2(200)", "limited-aperture(I)"]
@@ -293,6 +299,35 @@ class TestInteriorQueries:
                     pipeline._build_sources(cfg).points):
             np.testing.assert_array_equal(
                 contains_points(curve, pts), polygon_contains_even_odd(vertices, pts))
+
+    @pytest.mark.parametrize("name", PRESET_SCENES)
+    def test_contains_matches_unit_normal_formula_on_preset_point_sets(self, name):
+        """The sign against the unnormalised normal at the nearest vertex
+        is the sign against the unit normal of the full discretization."""
+        cfg = pipeline.preset(name)
+        curve = place_scatterer(pipeline._CURVE_BUILDERS[cfg.scatterer_kind](), cfg.ctx,
+                                cfg.scatterer_center, cfg.scatterer_size)
+        receivers = circle_points(cfg.receiver_radius, cfg.receiver_count,
+                                  arc=cfg.receiver_arc)
+        poly = discretize(curve, geometry.POLYGON_SAMPLES)
+        for pts in (cfg.grid_spec().points(), receivers.points,
+                    pipeline._build_sources(cfg).points):
+            np.testing.assert_array_equal(
+                contains_points(curve, pts),
+                contains_by_unit_normal(poly.nodes, poly.normals, pts))
+
+    def test_contains_matches_unit_normal_formula_off_random_curves(self):
+        """Also within 1e-2 vertex spacings of the curve, on both sides."""
+        for curve, rng in _random_curves(12, seed=14):
+            poly = discretize(curve, geometry.POLYGON_SAMPLES)
+            t = rng.uniform(0.0, 2.0 * np.pi, 1000)
+            offsets = rng.uniform(-1e-2, 1e-2, (1000, 1)) * poly.max_spacing
+            c, d = np.asarray(curve.center), curve.diameter
+            pts = np.vstack([curve.point(t) + offsets * rng.standard_normal((1000, 2)),
+                             c + rng.uniform(-d, d, (1000, 2))])
+            np.testing.assert_array_equal(
+                contains_points(curve, pts),
+                contains_by_unit_normal(poly.nodes, poly.normals, pts))
 
     def test_contains_matches_even_odd_on_random_curves(self):
         for curve, rng in _random_curves(24, seed=12):

@@ -157,6 +157,31 @@ class TestMorozov:
         assert alpha[0] == np.inf
         assert alpha[1] == pytest.approx(0.1, rel=1e-12)
 
+    def test_null_space_columns_mixed_with_solvable_ones(self):
+        """sigma has zeros: data on their singular vectors alone has no root."""
+        rng = np.random.default_rng(21)
+        sigma = np.concatenate([np.sort(rng.uniform(0.1, 5.0, 8))[::-1], np.zeros(4)])
+        factors = SvdFactors(u=np.eye(12, dtype=complex), sigma=sigma,
+                             vh=np.eye(12, dtype=complex))
+        delta = 0.05
+        b = random_complex(rng, (12, 6))
+        null, solvable = [1, 4], [0, 2, 3, 5]
+        b[:8, null] = 0.0
+        b[8:, solvable] = 0.0
+        b2 = np.abs(b) ** 2
+        alpha, passes = inversion._morozov_many(sigma, b2, delta)
+        gnorm = inversion._tikhonov_norms(sigma, b2, alpha)
+        assert passes >= 1
+        assert np.isinf(alpha[null]).all()
+        np.testing.assert_array_equal(gnorm[null], 0.0)
+        for c in null:
+            with pytest.raises(MorozovNoRootError):
+                morozov_alpha(factors, b[:, c], delta)
+        for c in solvable:
+            assert alpha[c] == pytest.approx(morozov_alpha(factors, b[:, c], delta),
+                                             rel=1e-12)
+            assert gnorm[c] > 0
+
     def test_closed_form_single_component(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
@@ -407,6 +432,33 @@ class TestIndicatorMemory:
 
 
 class TestIndicatorBlocks:
+    def test_one_slope_pass_per_newton_pass(self, preset_runs, monkeypatch):
+        """The no-root test at ALPHA_FLOOR makes no J x block pass of its own."""
+        cfg, art = preset_runs["kite-C"]
+        slope, solve = inversion._discrepancy_slope, inversion._morozov_many
+        slope_calls, blocks = [], []
+
+        def slope_spy(*args):
+            slope_calls.append(len(args[1]))
+            return slope(*args)
+
+        def solve_spy(*args):
+            before = len(slope_calls)
+            alpha, passes = solve(*args)
+            blocks.append((passes, len(slope_calls) - before))
+            return alpha, passes
+
+        monkeypatch.setattr(inversion, "_discrepancy_slope", slope_spy)
+        monkeypatch.setattr(inversion, "_morozov_many", solve_spy)
+        imap = indicator_map(art.matrix, cfg.grid_spec(), cfg.ctx,
+                             mask_radius=cfg.mask_radius)
+        assert len(blocks) == -(-imap.morozov.probed // inversion.MOROZOV_BLOCK) > 1
+        assert all(passes >= 1 and calls == passes for passes, calls in blocks)
+        # a block with no root returns before any pass
+        slope_calls.clear()
+        alpha, passes = solve(np.array([2.0, 0.0]), np.array([[0.0, 1.0], [1.0, 1.0]]), 0.1)
+        assert np.isinf(alpha).all() and passes == 0 and slope_calls == []
+
     def test_block_size_does_not_change_results(self, preset_runs, monkeypatch):
         """Any block size gives the single-block map."""
         cfg, art = preset_runs["kite-C"]

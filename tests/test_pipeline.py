@@ -222,6 +222,33 @@ class TestExecute:
             pipeline.execute(tiny_config(**overrides))
         assert err.value.stage == "geometry"
 
+    @pytest.mark.parametrize("overrides, reason", [
+        ({"point_centers": ((5.0, 0.0),)}, "a receiver lies inside or within"),
+        ({"point_radius": 10.0}, "a receiver lies inside or within"),
+        # the receiver at (5, 0) is 5e-4 wavelengths from the circle's rim
+        ({"point_centers": ((5.0 - 0.01 - 5e-4, 0.0),)}, "a receiver lies inside or within"),
+        ({"point_centers": ((0.0, 0.0), (2.0, 2.0), (0.0, 0.0))},
+         "point scatterers 1 and 3 overlap"),
+        # rims touch: the centres are exactly the two radii apart
+        ({"point_centers": ((0.0, 0.0), (0.02, 0.0))}, "point scatterers 1 and 2 overlap"),
+    ], ids=["center-on-receiver", "receivers-enclosed", "receiver-within-clearance",
+            "coincident-centers", "touching-circles"])
+    def test_point_scatterer_geometry(self, overrides, reason):
+        cfg = preset("point-scatterers")
+        for key, value in overrides.items():
+            setattr(cfg, key, value)
+        with pytest.raises(PipelineError, match=reason) as err:
+            pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
+
+    def test_point_scatterers_just_clear_of_receivers_and_each_other_run(self):
+        # 2e-3 wavelengths from the receiver at (5, 0), 1e-3 between the rims
+        cfg = preset("point-scatterers")
+        cfg.point_centers = ((5.0 - 0.01 - 2e-3, 0.0), (5.0 - 0.031 - 2e-3, 0.0))
+        cfg.grid_nx = cfg.grid_ny = 8
+        art = pipeline.execute(cfg)
+        assert art.indicator.mask.any()
+
     @pytest.mark.parametrize("field, value, stage, name", [
         ("scatterer_center", (math.nan, 0.0), "geometry", "center"),
         ("scatterer_size", math.inf, "geometry", "size"),
@@ -537,6 +564,9 @@ class TestCli:
         (["--preset", "point-scatterers", "--set", "scatterer.radius=nan"], "geometry"),
         (["--preset", "point-scatterers", "--set", "scatterer.radius=inf"], "geometry"),
         (["--preset", "point-scatterers", "--set", "scatterer.centers=nan,0"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.centers=5,0"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.radius=10"], "geometry"),
+        (["--preset", "point-scatterers", "--set", "scatterer.centers=0,0;0,0"], "geometry"),
         (["--preset", "kite-C", "--set", "grid.mask_radius=-1",
           "--set", "receivers.count=12", "--set", "sources.count=16"], "invert"),
         (["--preset", "kite-C", "--set", "grid.mask_radius=nan",
@@ -546,7 +576,9 @@ class TestCli:
         (["--config", "missing.ini"], "config"),
     ], ids=["misspelt-key", "unparsable-int", "lone-arc_min", "override-without-key",
             "unknown-source-mode", "zero-radius", "point-radius-nan",
-            "point-radius-inf", "point-center-nan", "negative-mask-radius",
+            "point-radius-inf", "point-center-nan", "point-center-on-receiver",
+            "point-radius-encloses-receivers", "point-centers-coincide",
+            "negative-mask-radius",
             "nan-mask-radius", "unknown-preset",
             "malformed-preset", "missing-config-file"])
     def test_bad_config_exits_1_with_stage(self, tmp_path, monkeypatch, capsys,

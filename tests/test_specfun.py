@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,7 +149,8 @@ class TestGreen2d:
         with pytest.raises(SingularityError):
             green2d(ctx, (1.0, 2.0), (1.0, 2.0))
 
-    @pytest.mark.parametrize("seed, p, q", [(0, 1, 7), (1, 13, 1), (2, 40, 33)])
+    @pytest.mark.parametrize("seed, p, q", [(0, 1, 7), (1, 13, 1), (2, 40, 33),
+                                            (3, 80, 512), (4, 200, 512)])
     def test_every_pair_equals_broadcast_formula_bitwise(self, ctx, seed, p, q):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-8, 8, size=(p, 2))
@@ -156,6 +158,19 @@ class TestGreen2d:
         g = green2d(ctx, x, y)
         assert g.shape == (p, q)
         np.testing.assert_array_equal(g, green2d_broadcast(ctx.k, x[:, None, :], y[None, :, :]))
+
+    def test_holds_no_complex_temporary(self, ctx):
+        """The peak is the complex output plus the real distance matrix."""
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-5, 5, size=(80, 2))
+        y = rng.uniform(-5, 5, size=(512, 2))
+        tracemalloc.start()
+        try:
+            g = green2d(ctx, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * g.nbytes
 
     def test_swapped_arguments_give_transpose_bitwise(self, ctx):
         rng = np.random.default_rng(5)
