@@ -86,7 +86,10 @@ class FieldMatrix:
 
 
 def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
-    """phi - conj(phi) at receiver pairs: (i/2) J_0(k r), i/2 on the diagonal."""
+    """phi - conj(phi) at receiver pairs: (i/2) J_0(k r), i/2 on the diagonal.
+
+    Only Im phi is needed, so j0 alone is evaluated, not specfun.green_kr.
+    """
     r = scipy.spatial.distance.cdist(receivers.points, receivers.points)
     return 0.5j * scipy.special.j0(ctx.k * r)
 

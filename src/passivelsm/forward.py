@@ -26,10 +26,9 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg
 import scipy.spatial.distance
-import scipy.special
 
 from .geometry import DiscretizedBoundary, boundary_distance, contains_points
-from .specfun import WaveContext, green2d, hankel1_orders
+from .specfun import SingularityError, WaveContext, green2d, green_kr, hankel1_orders
 
 logger = logging.getLogger(__name__)
 
@@ -87,14 +86,14 @@ def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
     of one column, C[i, j] = c_{(i - j) mod n}.
     """
     k = ctx.k
-    kr = k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes)
-    j0 = scipy.special.j0(kr)
-    with np.errstate(divide="ignore", invalid="ignore"):   # y0(0) = -inf
-        block = 0.25j * (j0 + 1j * scipy.special.y0(kr))
+    block = green_kr(k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes))
     np.fill_diagonal(
         block, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
     )
-    block += (-(1.0 / (4.0 * np.pi)) * j0) * scipy.linalg.circulant(_kress_column(bnd.n))
+    # phi_1 = -j0/(4 pi) is -1/pi times Im phi, which is 1/4 = j0(0)/4 on the diagonal
+    log_term = block.imag * (-1.0 / np.pi)
+    log_term *= scipy.linalg.circulant(_kress_column(bnd.n))
+    block += log_term
     return block
 
 
@@ -275,8 +274,14 @@ def scattered_matrix(
 
 
 def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndarray:
-    """u(x_j, z_l) for all receiver/source pairs, shape (J, L)."""
-    phi = green2d(system.ctx, receivers, sources)
+    """u(x_j, z_l) for all receiver/source pairs, shape (J, L).
+
+    Raises GeometryError if a source coincides with a receiver.
+    """
+    try:
+        phi = green2d(system.ctx, receivers, sources)
+    except SingularityError as exc:
+        raise GeometryError("a source coincides with a receiver") from exc
     return scattered_matrix(system, solve_charges(system, sources), receivers) + phi
 
 
@@ -355,8 +360,7 @@ class PointScattererConfig:
 
     def reflection_coefficients(self, ctx: WaveContext) -> np.ndarray:
         """lambda_l = 4i / H_0^(1)(k r_l) = -1 / phi at distance r_l, from (k, r_l)."""
-        rim = np.stack([self.radii, np.zeros_like(self.radii)], axis=-1)
-        return -1.0 / green2d(ctx, rim, np.zeros(2))[:, 0]
+        return -1.0 / green_kr(ctx.k * self.radii)
 
 
 def point_scatterer_scattered(

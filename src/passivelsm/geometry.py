@@ -125,14 +125,13 @@ def place_scatterer(
 class DiscretizedBoundary:
     """Equispaced-in-parameter quadrature of a closed curve.
 
-    nodes x(t_j), outward unit normals, parameter speeds |x'(t_j)| and
-    trapezoid arc-length weights (2*pi/n)|x'(t_j)| for t_j = 2*pi*j/n.
+    nodes x(t_j), parameter speeds |x'(t_j)| and trapezoid arc-length
+    weights (2*pi/n)|x'(t_j)| for t_j = 2*pi*j/n.
     """
 
     curve: BoundaryCurve
     n: int
     nodes: np.ndarray
-    normals: np.ndarray
     speeds: np.ndarray
     weights: np.ndarray
 
@@ -151,19 +150,14 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
         raise ValueError(f"node count must be even and >= 4, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
     nodes = curve.point(t)
-    deriv = curve.derivative(t)
-    speeds = np.sqrt((deriv ** 2).sum(axis=1))
+    speeds = np.sqrt((curve.derivative(t) ** 2).sum(axis=1))
     if np.any(speeds <= 0):
         raise ValueError("degenerate parametrization: |x'(t)| must be positive")
-    # outward normal of a counterclockwise curve
-    normals = np.column_stack([deriv[:, 1], -deriv[:, 0]]) / speeds[:, None]
     weights = (2.0 * np.pi / n) * speeds
-    for arr in (nodes, normals, speeds, weights):
+    for arr in (nodes, speeds, weights):
         arr.flags.writeable = False
-    return DiscretizedBoundary(
-        curve=curve, n=n, nodes=nodes, normals=normals, speeds=speeds,
-        weights=weights,
-    )
+    return DiscretizedBoundary(curve=curve, n=n, nodes=nodes, speeds=speeds,
+                               weights=weights)
 
 
 # ---------------------------------------------------------------------------

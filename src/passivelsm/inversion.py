@@ -269,7 +269,8 @@ def indicator_map(
     outside the mask radius (default: the receiver circle radius) are
     skipped; points whose discrepancy equation has no root are recorded
     as failures in the mask.  A negative or NaN mask radius raises
-    ValueError.
+    ValueError, as does a noise level so large that the discrepancy
+    arithmetic would overflow.
     """
     receivers = matrix.receivers
     delta = matrix.delta
@@ -280,6 +281,13 @@ def indicator_map(
     if not mask_radius >= 0:
         raise ValueError(f"mask_radius must be >= 0, got {mask_radius}")
     factors = svd(matrix)
+    # the largest value _discrepancy_weights forms is (delta sigma_max + sigma_max^2)^2
+    smax = float(factors.sigma[0])
+    largest = delta * smax + smax * smax
+    if largest * largest == np.inf:
+        raise ValueError(
+            f"delta = {delta:.3g} with sigma_max = {smax:.3g} overflows Morozov's discrepancy "
+            "arithmetic: (delta sigma_max + sigma_max^2)^2 is beyond double range")
     pts = grid.points()
     inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2
     # exclude probe points that collide with a receiver

@@ -4,16 +4,16 @@ Two kernels, both thin layers over scipy.special:
 
 - hankel1_orders: H_0^(1)..H_nmax^(1) of real arguments stacked by
   order (jv/yv), for the Mie series and its checks;
-- green2d: (i/4) H_0^(1)(k |x - y|) from j0/y0 on the (P, Q) distance
-  matrix of P points and Q sources, for the solver's right-hand sides,
-  fields and coupling blocks and the probing right-hand sides.  The
-  distances are scaled by k in place and y0 and j0 written straight
-  into the real and imaginary parts of the one complex output, so no
-  complex temporary exists.
+- green_kr: (i/4) H_0^(1)(kr) elementwise, y0 and j0 written straight
+  into the real and imaginary parts of one complex array, so no complex
+  temporary exists.  It is the only code that turns k r into phi:
+  green2d calls it on the (P, Q) distance matrix of P points and Q
+  sources scaled by k in place (for the solver's right-hand sides,
+  fields and coupling blocks and the probing right-hand sides), and so
+  do the Kress self block and the point-scatterer coefficients.
 
-Two callers evaluate j0/y0 on a distance matrix themselves: the Kress
-self block (forward._self_block, whose diagonal is singular) and the
-imaginary bracket (acquisition.imaginary_bracket, j0 only).
+Only the imaginary bracket (acquisition.imaginary_bracket) evaluates
+j0 alone: it needs just Im phi, which is finite on the diagonal.
 
 scipy.special.hankel1 (AMOS) is not used: it is slower than j0 + y0 and
 returns nan where Y_n overflows.
@@ -81,10 +81,15 @@ def green2d(ctx: WaveContext, x, y):
     if np.any(r < SINGULARITY_FACTOR * ctx.wavelength):
         raise SingularityError("green2d evaluated at a source point")
     r *= ctx.k      # k r, in place
+    return green_kr(r)
+
+
+def green_kr(kr):
+    """(i/4) H_0^(1)(kr) elementwise, unchecked: kr = 0 gives inf + 0.25i."""
     # (i/4)(j0 + i y0) = -y0/4 + i j0/4, written into one complex array
-    out = np.empty(r.shape, dtype=complex)
-    scipy.special.y0(r, out=out.real)
-    scipy.special.j0(r, out=out.imag)
+    out = np.empty(np.shape(kr), dtype=complex)
+    scipy.special.y0(kr, out=out.real)
+    scipy.special.j0(kr, out=out.imag)
     out.real *= -0.25
     out.imag *= 0.25
     return out

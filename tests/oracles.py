@@ -6,18 +6,24 @@ with deflation for singular values, an even-odd crossing count for
 points in a polygon, the nearest node's unit normal for the same
 question, one outer product per covariance realization, the
 cosine sum for the Kress log weights, np.savetxt for the CSV text, the
-explicit formulas of the scatterer curves, and the elementwise
-broadcast formula of the Green's function.
+explicit formulas of the scatterer curves, the elementwise
+broadcast formula of the Green's function, the Kress self block as it
+was assembled from separate j0 and y0 arrays, and the point-scatterer
+coefficients from green2d at a rim point.
 Expected values frozen in the tests were produced by these routines.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.spatial
+import scipy.spatial.distance
 import scipy.special
 
+from passivelsm.forward import _kress_column
 from passivelsm.seeding import substream
+from passivelsm.specfun import green2d
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -73,6 +79,28 @@ def green2d_broadcast(k: float, x, y) -> np.ndarray:
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     kr = k * np.sqrt(np.sum(diff * diff, axis=-1))
     return 0.25j * (scipy.special.j0(kr) + 1j * scipy.special.y0(kr))
+
+
+def self_block_separate_j0_y0(bnd, k: float) -> np.ndarray:
+    """The Kress self block of forward._self_block as it was assembled
+    from its own j0 and y0 arrays: phi = (i/4)(j0 + i y0) with complex
+    temporaries, the diagonal overwritten, and phi_1 = -j0/(4 pi) times
+    the circulant of forward._kress_column."""
+    kr = k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes)
+    j0 = scipy.special.j0(kr)
+    with np.errstate(divide="ignore", invalid="ignore"):   # y0(0) = -inf
+        block = 0.25j * (j0 + 1j * scipy.special.y0(kr))
+    np.fill_diagonal(
+        block, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi))
+    block += (-(1.0 / (4.0 * np.pi)) * j0) * scipy.linalg.circulant(_kress_column(bnd.n))
+    return block
+
+
+def reflection_coefficients_at_rim(ctx, radii) -> np.ndarray:
+    """-1 / phi(r_l, 0) from green2d between the rim point (r_l, 0) and
+    the origin, for each radius r_l."""
+    rim = np.stack([radii, np.zeros_like(radii)], axis=-1)
+    return -1.0 / green2d(ctx, rim, np.zeros(2))[:, 0]
 
 
 def singular_values_power_iteration(
@@ -155,6 +183,14 @@ def kress_weights_cosine_sum(n: int) -> np.ndarray:
     r = -(4.0 * np.pi / n) * (np.cos(2.0 * np.pi * np.outer(d, m) / n) / m).sum(axis=1)
     r -= (4.0 * np.pi / n ** 2) * np.where(d % 2 == 0, 1.0, -1.0)
     return (n / (2.0 * np.pi)) * r
+
+
+def outward_unit_normals(curve, n: int) -> np.ndarray:
+    """Outward unit normals (x'_y, -x'_x) / |x'| of the counterclockwise
+    curve at t_j = 2 pi j / n, from curve.derivative."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    d = curve.derivative(t)
+    return np.column_stack([d[:, 1], -d[:, 0]]) / np.sqrt((d ** 2).sum(axis=1))[:, None]
 
 
 def contains_by_unit_normal(nodes, normals, points) -> np.ndarray:

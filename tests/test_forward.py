@@ -19,9 +19,14 @@ from passivelsm.forward import (
     total_field_matrix,
 )
 from passivelsm.geometry import BoundaryCurve, discretize, place_scatterer
-from passivelsm.specfun import green2d
+from passivelsm.specfun import WaveContext, green2d
 
-from oracles import kress_weights_cosine_sum
+from oracles import (
+    kress_weights_cosine_sum,
+    outward_unit_normals,
+    reflection_coefficients_at_rim,
+    self_block_separate_j0_y0,
+)
 
 FIRST_J0_ZERO = 2.404825557695773
 
@@ -64,9 +69,34 @@ class TestAssembly:
         assert np.abs(weights - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(column[1:], column[:0:-1])
 
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("curve", [
+        BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5),
+        BoundaryCurve(kind="ellipse", params=(0.4, 0.25), rotation=0.3),
+        BoundaryCurve(kind="circle", params=(0.25,)),
+    ], ids=["kite", "ellipse", "circle"])
+    def test_self_block_equals_separate_j0_y0_formula_bitwise(self, ctx, curve, n):
+        bnd = discretize(curve, n)
+        assert (forward._self_block(bnd, ctx).tobytes()
+                == self_block_separate_j0_y0(bnd, ctx.k).tobytes())
+
+    def test_self_block_peak_memory(self, ctx):
+        # the complex block is 2 n^2 float64 values; the real distances,
+        # then the log term and its circulant, add 2 more
+        n = 512
+        boundary = discretize(BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward._self_block(boundary, ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * n * n * 8
+
     def test_assembly_peak_memory(self, ctx):
         # the complex matrix and its LU factors are 4 n^2 float64 values;
-        # the self block's n x n temporaries must stay within 5 more
+        # the self block's n x n temporaries must stay within 3 more
         n = 512
         boundary = discretize(BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5), n)
         tracemalloc.start()
@@ -76,7 +106,7 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 9 * n * n * 8
+        assert peak < 7 * n * n * 8
 
     def test_condition_estimate_benign(self, circle_system):
         assert circle_system.condition_estimate < 1e4
@@ -132,8 +162,9 @@ class TestSolve:
             solve_charges(kite_system, (2.0, 2.0))
 
     def test_source_too_close_rejected(self, kite_system, ctx):
-        boundary_point = kite_system.boundaries[0].nodes[0]
-        normal = kite_system.boundaries[0].normals[0]
+        bnd = kite_system.boundaries[0]
+        boundary_point = bnd.nodes[0]
+        normal = outward_unit_normals(bnd.curve, bnd.n)[0]
         y = boundary_point + 1e-4 * ctx.wavelength * normal
         with pytest.raises(GeometryError):
             solve_charges(kite_system, y)
@@ -145,7 +176,7 @@ class TestEvaluation:
         y = np.array([5.0, 0.0])
         charges = solve_charges(kite_system, y)
         base = bnd.nodes[7]
-        normal = bnd.normals[7]
+        normal = outward_unit_normals(bnd.curve, bnd.n)[7]
         scale = abs(green2d(ctx, base + 0.5 * normal, y)[0, 0])
         vals = []
         for eps in (2e-2, 1e-2, 5e-3):
@@ -164,7 +195,7 @@ class TestEvaluation:
         bnd = kite_system.boundaries[0]
         y = np.array([4.0, -1.0])
         charges = solve_charges(kite_system, y)
-        x = bnd.nodes[33] + 1e-3 * bnd.normals[33]
+        x = bnd.nodes[33] + 1e-3 * outward_unit_normals(bnd.curve, bnd.n)[33]
         with pytest.warns(forward.AccuracyWarning):
             us = scattered_matrix(kite_system, charges, x)[0, 0]
         phi = green2d(ctx, x, y)[0, 0]
@@ -303,6 +334,15 @@ class TestPointScatterer:
         assert point_scatterer_scattered(config, ctx, a, b)[0, 0] == pytest.approx(
             point_scatterer_scattered(config, ctx, b, a)[0, 0], rel=1e-12
         )
+
+    def test_reflection_coefficients_equal_rim_formula_bitwise(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            radii = 10.0 ** rng.uniform(-8.0, 0.0, rng.integers(1, 6))
+            config = PointScattererConfig(centers=np.zeros((len(radii), 2)), radii=radii)
+            ctx = WaveContext(rng.uniform(0.1, 50.0))
+            assert (config.reflection_coefficients(ctx).tobytes()
+                    == reflection_coefficients_at_rim(ctx, config.radii).tobytes())
 
     def test_reflection_shrinks_logarithmically(self, ctx):
         small = PointScattererConfig(centers=[[0.0, 0.0]], radii=[1e-3])

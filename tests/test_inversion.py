@@ -357,6 +357,20 @@ class TestIndicatorMap:
         assert imap.reciprocal[valid].max() == pytest.approx(1.0, abs=1e-15)
         assert imap.norm_max > imap.norm_min > 0.0
 
+    @pytest.mark.parametrize("scale, overflows", [(1e76, False), (1e77, True),
+                                                  (1e100, True), (1e160, True)])
+    def test_rejects_noise_that_overflows_discrepancy_arithmetic(self, ctx, scale,
+                                                                 overflows):
+        # sigma_max = delta = scale, so (delta sigma_max + sigma_max^2)^2 = 4 scale^4
+        receivers = circle_points(5.0, 10)
+        matrix = make_field_matrix(scale * np.eye(10, dtype=complex), receivers,
+                                   delta=scale)
+        if not overflows:
+            indicator_map(matrix, self.GRID, ctx)
+            return
+        with pytest.raises(ValueError, match="overflows Morozov's discrepancy arithmetic"):
+            indicator_map(matrix, self.GRID, ctx)
+
     def test_requires_positive_delta(self, ctx):
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(np.eye(10, dtype=complex), receivers, delta=0.0)

@@ -288,6 +288,25 @@ class TestExecute:
         # refused before the J x J matrix (67 MB at J = 2049) or any field exists
         assert peak < 2 * 2 ** 20
 
+    def test_source_on_receiver_fails_in_geometry_stage(self):
+        # equispaced sources on the receiver circle: both layouts start at (5, 0)
+        cfg = tiny_config(source_radius=5.0, source_beta=0.0)
+        with pytest.raises(PipelineError, match="a source coincides with a receiver") as err:
+            pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
+
+    @pytest.mark.parametrize("amplitude", [1e100, 1e160])
+    def test_overflowing_noise_fails_in_invert_stage(self, amplitude):
+        # a RuntimeWarning would be an error here, and named in the message
+        with pytest.raises(PipelineError,
+                           match="overflows Morozov's discrepancy arithmetic") as err:
+            pipeline.execute(tiny_config(noise_amplitude=amplitude))
+        assert err.value.stage == "invert"
+
+    def test_large_noise_within_double_range_runs(self):
+        art = pipeline.execute(tiny_config(noise_amplitude=1e20, grid_nx=8, grid_ny=8))
+        assert art.matrix.delta > 1e18
+
     def test_bad_wavenumber_fails_in_geometry_stage(self):
         with pytest.raises(PipelineError) as err:
             pipeline.execute(tiny_config(k=-1.0))
@@ -543,6 +562,15 @@ class TestCli:
             "error: [geometry] receivers.count 2049 exceeds 2048, the largest "
             "matrix size the SVD takes\n")
 
+    def test_overflowing_noise_fails_in_invert_stage(self, tmp_path, capsys):
+        rc = cli.main(["run", "--preset", "kite-C", "--out", str(tmp_path),
+                       "--set", "noise.amplitude=1e160", "--set", "receivers.count=12",
+                       "--set", "sources.count=16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [invert] delta = ")
+        assert "overflows Morozov's discrepancy arithmetic" in err
+
     def test_zero_matrix_run_fails_in_noise_stage(self, tmp_path, capsys):
         rc = cli.main([
             "run", "--preset", "kite-N", "--out", str(tmp_path),
@@ -571,6 +599,8 @@ class TestCli:
           "--set", "receivers.count=12", "--set", "sources.count=16"], "invert"),
         (["--preset", "kite-C", "--set", "grid.mask_radius=nan",
           "--set", "receivers.count=12", "--set", "sources.count=16"], "invert"),
+        (["--preset", "setup2(50)", "--set", "sources.radius=5",
+          "--set", "receivers.count=12"], "geometry"),
         (["--preset", "torus-N"], "config"),
         (["--preset", "setup2("], "config"),
         (["--config", "missing.ini"], "config"),
@@ -579,7 +609,7 @@ class TestCli:
             "point-radius-inf", "point-center-nan", "point-center-on-receiver",
             "point-radius-encloses-receivers", "point-centers-coincide",
             "negative-mask-radius",
-            "nan-mask-radius", "unknown-preset",
+            "nan-mask-radius", "source-on-receiver", "unknown-preset",
             "malformed-preset", "missing-config-file"])
     def test_bad_config_exits_1_with_stage(self, tmp_path, monkeypatch, capsys,
                                            argv, stage):

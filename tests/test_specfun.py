@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 import scipy.special
 
-from passivelsm.specfun import SingularityError, WaveContext, green2d, hankel1_orders
+from passivelsm.specfun import (
+    SingularityError, WaveContext, green2d, green_kr, hankel1_orders,
+)
 
 from oracles import green2d_broadcast, green2d_series, j0_series, jn_series, y0_series
 
@@ -158,6 +161,21 @@ class TestGreen2d:
         g = green2d(ctx, x, y)
         assert g.shape == (p, q)
         np.testing.assert_array_equal(g, green2d_broadcast(ctx.k, x[:, None, :], y[None, :, :]))
+
+    @pytest.mark.parametrize("seed, p, q", [(0, 1, 7), (2, 40, 33), (3, 80, 512)])
+    def test_kernel_of_scaled_distances_is_green2d_bitwise(self, ctx, seed, p, q):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-8, 8, size=(p, 2))
+        y = rng.uniform(-8, 8, size=(q, 2))
+        kr = ctx.k * scipy.spatial.distance.cdist(x, y)
+        assert green_kr(kr).tobytes() == green2d(ctx, x, y).tobytes()
+
+    def test_kernel_at_zero_is_infinite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = green_kr(np.array([0.0, 0.0]))
+        np.testing.assert_array_equal(g.real, np.inf)
+        np.testing.assert_array_equal(g.imag, 0.25)
 
     def test_holds_no_complex_temporary(self, ctx):
         """The peak is the complex output plus the real distance matrix."""
