@@ -91,7 +91,8 @@ def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
     Only Im phi is needed, so j0 alone is evaluated, not specfun.green_kr.
     """
     r = scipy.spatial.distance.cdist(receivers.points, receivers.points)
-    return 0.5j * scipy.special.j0(ctx.k * r)
+    r *= ctx.k
+    return 0.5j * scipy.special.j0(r, out=r)
 
 
 def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMatrix:
@@ -120,11 +121,13 @@ def _correlation_matrix(kind, receivers: PointSet, sources: PointSet,
                         system: SingleLayerSystem, prefactor, gram, realizations=None):
     """prefactor * gram(u) - bracket, u the (J, L) total field at the receivers.
 
-    gram(u) carries the kind's conjugation convention.
+    gram(u) carries the kind's conjugation convention.  u is freed once
+    the Gram product exists, which is scaled and shifted in place.
     """
     require_exterior(system, receivers.points, what="receiver")
-    u = total_field_matrix(system, receivers.points, sources.points)
-    entries = prefactor * gram(u) - imaginary_bracket(system.ctx, receivers)
+    entries = gram(total_field_matrix(system, receivers.points, sources.points))
+    entries *= prefactor
+    entries -= imaginary_bracket(system.ctx, receivers)
     return FieldMatrix(entries, kind, receivers, system.ctx.k, sources=sources,
                        realizations=realizations)
 
@@ -202,17 +205,31 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
 
     E_jm = amplitude * max|entries| * (g1 + i g2)/sqrt(2) with g standard
     normal from the (seed, "measurement-noise") stream, and the recorded
-    noise level delta is the exact spectral norm of the drawn E.
+    noise level delta is the exact spectral norm of the drawn E.  E is
+    built, scaled and added in one J x J array.  Raises ValueError when
+    the amplitude is so large that E or delta is not finite.
     """
     if not (np.isfinite(amplitude) and amplitude >= 0):
         raise ValueError(f"noise amplitude must be finite and >= 0, got {amplitude}")
     j = matrix.size
-    g = substream(seed, "measurement-noise").standard_normal((2, j, j))
     scale = amplitude * float(np.abs(matrix.entries).max())
-    noise = scale * (g[0] + 1j * g[1]) / np.sqrt(2.0)
-    delta = float(np.linalg.norm(noise, 2))
+    rng = substream(seed, "measurement-noise")
+    noise = np.empty((j, j), dtype=complex)
+    # one (2, J, J) draw: all real parts, then all imaginary parts
+    noise.real = rng.standard_normal((j, j))
+    noise.imag = rng.standard_normal((j, j))
+    # scale, then times 1/sqrt(2) as numpy's complex division by sqrt(2) does
+    parts = noise.view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts *= scale
+        parts *= 1.0 / np.sqrt(2.0)
+    delta = float(np.linalg.norm(noise, 2)) if np.isfinite(parts).all() else np.inf
+    if not np.isfinite(delta):
+        raise ValueError(f"noise amplitude {amplitude:g} overflows: the drawn noise "
+                         "or its spectral norm is beyond double range")
     logger.debug("added noise: amplitude=%g delta=%.6e", amplitude, delta)
-    return replace(matrix, entries=matrix.entries + noise, noise_amplitude=float(amplitude),
+    noise += matrix.entries
+    return replace(matrix, entries=noise, noise_amplitude=float(amplitude),
                    noise_seed=int(seed), delta=delta)
 
 

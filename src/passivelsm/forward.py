@@ -83,10 +83,12 @@ def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
 
     phi = phi_1 ln(4 sin^2((t_i - t_j)/2)) + phi_2 with smooth phi_1, phi_2:
     the log factor and its weights enter as the symmetric circulant matrix
-    of one column, C[i, j] = c_{(i - j) mod n}.
+    of one column, C[i, j] = c_{(i - j) mod n}.  phi is evaluated once
+    per unordered node pair and mirrored.
     """
     k = ctx.k
-    block = green_kr(k * scipy.spatial.distance.cdist(bnd.nodes, bnd.nodes))
+    block = scipy.spatial.distance.squareform(
+        green_kr(k * scipy.spatial.distance.pdist(bnd.nodes)))
     np.fill_diagonal(
         block, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi)
     )
@@ -198,14 +200,16 @@ def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     """Charge vectors for one or more point sources (columns).
 
     Solves M nu = -phi(nodes, y) for every source y; returns an array of
-    shape (n_nodes, n_sources).
+    shape (n_nodes, n_sources).  The right-hand sides are built column-major
+    (the transpose of phi(y, nodes)), negated and solved in place.
     """
     src = np.atleast_2d(np.asarray(sources, dtype=float))
     require_exterior(system, src, what="source")
     if system.size == 0:
         return np.zeros((0, len(src)), dtype=complex)
-    rhs = -green2d(system.ctx, system.nodes, src)
-    return scipy.linalg.lu_solve(system.lu, rhs)
+    rhs = green2d(system.ctx, src, system.nodes).T
+    np.negative(rhs, out=rhs)
+    return scipy.linalg.lu_solve(system.lu, rhs, overwrite_b=True)
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +241,54 @@ def scattered_matrix(
     product each) and keep the 4x value; one AccuracyWarning per boundary
     reports entries whose 2x and 4x upsampled values differ by more than
     1e-6 relative (a bound on the 2x error; the 4x value is returned).
+    A boundary's field is written into its own (P, S) array, which is the
+    result for the first boundary and is added in place for the others.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(pts), charges.shape[1]), dtype=complex)
+    out = None
     offset = 0
     for bnd in system.boundaries:
         nu = charges[offset : offset + bnd.n]
         offset += bnd.n
         dist = boundary_distance(bnd.curve, pts)
         near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
-        far = ~near
-        out[far] += green2d(system.ctx, pts[far], bnd.nodes) @ nu
-        if not near.any():
-            continue
-        fields = []
-        for factor in (UPSAMPLE_FACTOR // 2, UPSAMPLE_FACTOR):
-            m = bnd.n * factor
-            nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
-            # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
-            # so the resampled charges over `factor` are the refined charges.
-            g = green2d(system.ctx, pts[near], nodes)
-            fields.append(g @ (_trig_resample(nu, factor) / factor))
-        coarse, fine = fields
-        miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
-        if miss.any():
-            warnings.warn(
-                f"near-boundary evaluation: 2x and 4x upsampled values of "
-                f"{int(miss.sum())} entries (closest point at distance "
-                f"{dist[near].min():.3e}) differ by more than "
-                f"{NEAR_EVAL_TOLERANCE:g} relative; the 4x value is returned",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-        out[near] += fine
+        if near.any():
+            field = np.empty((len(pts), charges.shape[1]), dtype=complex)
+            field[~near] = green2d(system.ctx, pts[~near], bnd.nodes) @ nu
+            field[near] = _near_field(system.ctx, bnd, nu, pts[near], dist[near])
+        else:
+            field = green2d(system.ctx, pts, bnd.nodes) @ nu
+        if out is None:
+            out = field
+        else:
+            out += field
+    if out is None:
+        return np.zeros((len(pts), charges.shape[1]), dtype=complex)
     return out
+
+
+def _near_field(ctx: WaveContext, bnd: DiscretizedBoundary, nu, pts, dist):
+    """The 4x upsampled field at points near `bnd`, checked against the 2x one."""
+    fields = []
+    for factor in (UPSAMPLE_FACTOR // 2, UPSAMPLE_FACTOR):
+        m = bnd.n * factor
+        nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
+        # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
+        # so the resampled charges over `factor` are the refined charges.
+        g = green2d(ctx, pts, nodes)
+        fields.append(g @ (_trig_resample(nu, factor) / factor))
+    coarse, fine = fields
+    miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
+    if miss.any():
+        warnings.warn(
+            f"near-boundary evaluation: 2x and 4x upsampled values of "
+            f"{int(miss.sum())} entries (closest point at distance "
+            f"{dist.min():.3e}) differ by more than "
+            f"{NEAR_EVAL_TOLERANCE:g} relative; the 4x value is returned",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    return fine
 
 
 def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndarray:
@@ -282,7 +300,9 @@ def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndar
         phi = green2d(system.ctx, receivers, sources)
     except SingularityError as exc:
         raise GeometryError("a source coincides with a receiver") from exc
-    return scattered_matrix(system, solve_charges(system, sources), receivers) + phi
+    u = scattered_matrix(system, solve_charges(system, sources), receivers)
+    u += phi
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ MAX_SVD_SIZE = 2048
 LOG_ALPHA_TOL = 1e-12           # Newton stops at this step in log(alpha)
 MOROZOV_BRACKET_POINTS = 64
 MOROZOV_MAX_PASSES = 64
-MOROZOV_BLOCK = 512             # probe columns per block of indicator_map
+MOROZOV_BLOCK = 40960           # J x probe entries per block of indicator_map
 ALPHA_FLOOR = 1e-30
 
 
@@ -227,8 +227,8 @@ class MorozovStats:
     """How the per-probe Morozov solves went; alpha over the solvable probes.
 
     The alpha fields are None when no probe is solvable.  The probes are
-    solved in blocks of MOROZOV_BLOCK, and newton_passes is the largest
-    pass count of any block.
+    solved in blocks of MOROZOV_BLOCK // J, and newton_passes is the
+    largest pass count of any block.
     """
 
     probed: int
@@ -251,8 +251,6 @@ class IndicatorMap:
     values: np.ndarray
     reciprocal: np.ndarray
     mask: np.ndarray
-    norm_min: float
-    norm_max: float
     morozov: MorozovStats
 
 
@@ -281,8 +279,11 @@ def indicator_map(
     if not mask_radius >= 0:
         raise ValueError(f"mask_radius must be >= 0, got {mask_radius}")
     factors = svd(matrix)
+    # ||g|| needs only U* and sigma: conjugate U in place and let V* go
+    sigma, uh = factors.sigma, np.conj(factors.u, out=factors.u).T
+    del factors
     # the largest value _discrepancy_weights forms is (delta sigma_max + sigma_max^2)^2
-    smax = float(factors.sigma[0])
+    smax = float(sigma[0])
     largest = delta * smax + smax * smax
     if largest * largest == np.inf:
         raise ValueError(
@@ -297,16 +298,17 @@ def indicator_map(
     zs = pts[probe]
     alpha, gnorm = np.empty(len(zs)), np.empty(len(zs))
     passes = 0
-    uh = factors.u.conj().T
-    # one block of probes at a time, so no J x P array exists; the
-    # right-hand sides and U* phi are freed at once, b2 is squared in place
-    for start in range(0, len(zs), MOROZOV_BLOCK):
-        part = slice(start, start + MOROZOV_BLOCK)
+    # blocks of at most MOROZOV_BLOCK J x probe entries, so no J x P array
+    # exists and a block's temporaries do not grow with J; the right-hand
+    # sides and U* phi are freed at once, b2 is squared in place
+    block = MOROZOV_BLOCK // len(sigma)
+    for start in range(0, len(zs), block):
+        part = slice(start, start + block)
         b2 = np.abs(uh @ rhs_vectors(receivers, zs[part], ctx))
         b2 *= b2
-        alpha[part], block_passes = _morozov_many(factors.sigma, b2, delta)
+        alpha[part], block_passes = _morozov_many(sigma, b2, delta)
         # an unsolvable probe has alpha = inf and so ||g|| = 0
-        gnorm[part] = _tikhonov_norms(factors.sigma, b2, alpha[part])
+        gnorm[part] = _tikhonov_norms(sigma, b2, alpha[part])
         passes = max(passes, block_passes)
     values = np.zeros(len(pts))
     values[probe] = gnorm
@@ -325,8 +327,6 @@ def indicator_map(
         rec = 1.0 / values[valid]
         lo, hi = float(rec.min()), float(rec.max())
         reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
-    else:
-        lo = hi = 0.0
     shape = (grid.nx, grid.ny)
     n_ok = int(valid.sum())
     logger.debug("indicator map: %d/%d grid points probed", n_ok, len(pts))
@@ -335,8 +335,6 @@ def indicator_map(
         values=values.reshape(shape),
         reciprocal=reciprocal.reshape(shape),
         mask=valid.reshape(shape),
-        norm_min=lo,
-        norm_max=hi,
         morozov=stats,
     )
 

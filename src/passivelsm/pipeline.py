@@ -291,10 +291,14 @@ _CURVE_BUILDERS = {
 
 @dataclass
 class RunArtifacts:
-    """In-memory results of one experiment, before any file output."""
+    """In-memory results of one experiment, before any file output.
+
+    `assembly` is the manifest's assembly health; the single-layer system
+    itself is freed once the matrix is acquired.
+    """
 
     curve: Optional[geometry.BoundaryCurve]
-    system: Optional[forward.SingleLayerSystem]
+    assembly: dict
     matrix: acquisition.FieldMatrix
     indicator: inversion.IndicatorMap
     timings: dict
@@ -434,6 +438,9 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             )
         else:
             raise ValueError(f"unknown matrix kind {cfg.matrix_kind!r}")
+    # the n x n matrix and its LU are not needed past acquisition
+    assembly = _assembly_health(cfg, system)
+    del system
 
     with _stage("noise", timings):
         matrix = acquisition.add_noise(matrix, cfg.noise_amplitude, cfg.seed)
@@ -451,8 +458,8 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
                 f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
 
-    return RunArtifacts(curve=curve, system=system, matrix=matrix, indicator=indicator,
-                        timings=timings)
+    return RunArtifacts(curve=curve, assembly=assembly, matrix=matrix,
+                        indicator=indicator, timings=timings)
 
 
 @dataclass
@@ -539,7 +546,7 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
         delta=art.matrix.delta,
         timings={k: round(v, 6) for k, v in art.timings.items()},
         files=files,
-        health={"assembly": _assembly_health(config, art.system),
+        health={"assembly": art.assembly,
                 "morozov": asdict(art.indicator.morozov)},
         environment=_environment(),
     )

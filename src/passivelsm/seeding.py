@@ -34,4 +34,19 @@ def substream(seed: int, *tags) -> np.random.Generator:
         ``("covariance-noise", realization_index)``.
     """
     words = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_tag_word(t) for t in tags]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence(_entropy(words)))
+
+
+def _entropy(words) -> np.ndarray:
+    """The uint32 array SeedSequence makes of a list of 64-bit words.
+
+    Each word becomes its low 32 bits, then its high 32 bits unless they
+    are zero (so 0 is [0]), as numpy's own coercion of the list does;
+    prebuilt, the array spares SeedSequence that coercion.
+    """
+    out = []
+    for w in words:
+        out.append(w & 0xFFFFFFFF)
+        if w >> 32:
+            out.append(w >> 32)
+    return np.array(out, dtype=np.uint32)

@@ -8,7 +8,8 @@ question, one outer product per covariance realization, the
 cosine sum for the Kress log weights, np.savetxt for the CSV text, the
 explicit formulas of the scatterer curves, the elementwise
 broadcast formula of the Green's function, the Kress self block as it
-was assembled from separate j0 and y0 arrays, and the point-scatterer
+was assembled from separate j0 and y0 arrays, the scattered field summed
+into one zero array by masked read-modify-write, and the point-scatterer
 coefficients from green2d at a rim point.
 Expected values frozen in the tests were produced by these routines.
 """
@@ -21,7 +22,8 @@ import scipy.spatial
 import scipy.spatial.distance
 import scipy.special
 
-from passivelsm.forward import _kress_column
+from passivelsm.forward import NEAR_BOUNDARY_SPACINGS, _kress_column, _near_field
+from passivelsm.geometry import boundary_distance
 from passivelsm.seeding import substream
 from passivelsm.specfun import green2d
 
@@ -94,6 +96,25 @@ def self_block_separate_j0_y0(bnd, k: float) -> np.ndarray:
         block, 0.25j - (np.euler_gamma + np.log(0.5 * k * bnd.speeds)) / (2.0 * np.pi))
     block += (-(1.0 / (4.0 * np.pi)) * j0) * scipy.linalg.circulant(_kress_column(bnd.n))
     return block
+
+
+def scattered_matrix_masked(system, charges, points) -> np.ndarray:
+    """u_s summed as a masked read-modify-write of one zero (P, S) array:
+    out[far] += the far product and out[near] += the near field, per
+    boundary."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((len(pts), charges.shape[1]), dtype=complex)
+    offset = 0
+    for bnd in system.boundaries:
+        nu = charges[offset:offset + bnd.n]
+        offset += bnd.n
+        dist = boundary_distance(bnd.curve, pts)
+        near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
+        far = ~near
+        out[far] += green2d(system.ctx, pts[far], bnd.nodes) @ nu
+        if near.any():
+            out[near] += _near_field(system.ctx, bnd, nu, pts[near], dist[near])
+    return out
 
 
 def reflection_coefficients_at_rim(ctx, radii) -> np.ndarray:

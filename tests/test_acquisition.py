@@ -1,5 +1,10 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
+import scipy.special
 
 from passivelsm import acquisition, forward, geometry
 from passivelsm.acquisition import (
@@ -17,6 +22,7 @@ from passivelsm.acquisition import (
     write_matrix_csv,
 )
 from passivelsm.geometry import BoundaryCurve, circle_points, discretize, place_scatterer
+from passivelsm.seeding import substream
 
 from oracles import covariance_outer_loop, singular_values_power_iteration
 
@@ -115,6 +121,15 @@ class TestCrossCorrelation:
         bracket = imaginary_bracket(ctx, receivers)
         assert np.linalg.norm(c.entries) < 0.02 * np.linalg.norm(bracket)
 
+    def test_scaled_and_shifted_in_place_bitwise(self, ctx, kite_system, receivers):
+        """gram *= prefactor; gram -= bracket is prefactor * gram - bracket."""
+        sources = make_sources(24, beta=0.2, seed=3)
+        c = cross_correlation_matrix(receivers, sources, SIGMA_LENGTH, kite_system)
+        u = forward.total_field_matrix(kite_system, receivers.points, sources.points)
+        prefactor = 2j * ctx.k * SIGMA_LENGTH / 24
+        ref = prefactor * (np.conj(u) @ u.T) - imaginary_bracket(ctx, receivers)
+        assert c.entries.tobytes() == ref.tobytes()
+
     def test_nearly_skew_hermitian(self, kite_system, receivers):
         c = cross_correlation_matrix(receivers, make_sources(80), SIGMA_LENGTH,
                                      kite_system)
@@ -142,6 +157,11 @@ class TestCrossCorrelation:
 
 
 class TestBracket:
+    def test_equals_the_out_of_place_expression_bitwise(self, ctx, receivers):
+        pts = receivers.points
+        ref = 0.5j * scipy.special.j0(ctx.k * scipy.spatial.distance.cdist(pts, pts))
+        assert imaginary_bracket(ctx, receivers).tobytes() == ref.tobytes()
+
     def test_diagonal_is_half_i(self, ctx, receivers):
         b = imaginary_bracket(ctx, receivers)
         np.testing.assert_allclose(np.diag(b), 0.5j, atol=1e-14)
@@ -263,6 +283,24 @@ class TestAddNoise:
     def test_rejects_negative_amplitude(self, imf):
         with pytest.raises(ValueError):
             add_noise(imf, -0.1, seed=0)
+
+    @pytest.mark.parametrize("amplitude", [5e-2, 1e20])
+    def test_equals_the_out_of_place_expression_bitwise(self, imf, amplitude):
+        noisy = add_noise(imf, amplitude, seed=9)
+        j = imf.size
+        g = substream(9, "measurement-noise").standard_normal((2, j, j))
+        scale = amplitude * float(np.abs(imf.entries).max())
+        noise = scale * (g[0] + 1j * g[1]) / np.sqrt(2.0)
+        assert noisy.entries.tobytes() == (imf.entries + noise).tobytes()
+        assert noisy.delta == float(np.linalg.norm(noise, 2))
+
+    def test_noise_beyond_double_range_is_rejected_by_amplitude(self, imf):
+        # max|entries| = 1, so every draw beyond 1.06 in size overflows
+        unit = replace(imf, entries=imf.entries / np.abs(imf.entries).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"noise amplitude 1\.7e\+308 overflows"):
+                add_noise(unit, 1.7e308, seed=0)
 
 
 class TestCsvRoundTrip:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from passivelsm import forward, geometry
 from passivelsm.forward import (
@@ -25,6 +26,7 @@ from oracles import (
     kress_weights_cosine_sum,
     outward_unit_normals,
     reflection_coefficients_at_rim,
+    scattered_matrix_masked,
     self_block_separate_j0_y0,
 )
 
@@ -367,6 +369,45 @@ class TestPointScatterer:
         bem = scattered_matrix(system, charges, obs)[:, 0]
         born = point_scatterer_scattered(config, ctx, obs, y)[:, 0]
         assert np.abs(born - bem).max() / np.abs(bem).max() < 0.05
+
+
+class TestInPlace:
+    """Each in-place build equals the expression it replaced, bit for bit."""
+
+    SOURCES = np.array([[5.0, 0.0], [0.0, -4.0], [-3.0, 3.0], [40.0, 12.0]])
+
+    def test_solve_charges(self, kite_system, ctx):
+        ref = scipy.linalg.lu_solve(kite_system.lu,
+                                    -green2d(ctx, kite_system.nodes, self.SOURCES))
+        assert solve_charges(kite_system, self.SOURCES).tobytes() == ref.tobytes()
+
+    def test_total_field(self, kite_system, ctx):
+        receivers = 6.0 * np.column_stack([np.cos(np.arange(9.0)), np.sin(np.arange(9.0))])
+        charges = solve_charges(kite_system, self.SOURCES)
+        ref = (scattered_matrix(kite_system, charges, receivers)
+               + green2d(ctx, receivers, self.SOURCES))
+        assert (total_field_matrix(kite_system, receivers, self.SOURCES).tobytes()
+                == ref.tobytes())
+
+    @pytest.mark.parametrize("spacings", [(6.0, 9.0), (1.0, 2.0, 3.0, 4.0)],
+                             ids=["all-far", "near-and-far"])
+    def test_scattered_field_of_one_boundary(self, circle_system, spacings):
+        charges = solve_charges(circle_system, self.SOURCES)
+        r = 0.25 + np.array(spacings)[:, None] * circle_system.boundaries[0].max_spacing
+        theta = 2 * np.pi * np.arange(7) / 7 + 0.1
+        pts = np.column_stack([(r * np.cos(theta)).ravel(), (r * np.sin(theta)).ravel()])
+        assert (scattered_matrix(circle_system, charges, pts).tobytes()
+                == scattered_matrix_masked(circle_system, charges, pts).tobytes())
+
+    def test_scattered_field_of_two_boundaries(self, ctx):
+        curves = [BoundaryCurve(kind="circle", params=(0.2,), center=(-1.5, 0.0)),
+                  BoundaryCurve(kind="circle", params=(0.3,), center=(1.5, 0.5))]
+        system = assemble_single_layer([discretize(c, 64) for c in curves], ctx)
+        charges = solve_charges(system, self.SOURCES)
+        # near the first circle only, then far from both
+        pts = np.array([[-1.5, 0.25], [-1.2, 0.0], [0.0, 2.0], [3.0, -3.0]])
+        assert (scattered_matrix(system, charges, pts).tobytes()
+                == scattered_matrix_masked(system, charges, pts).tobytes())
 
 
 class TestMultipleScatterers:

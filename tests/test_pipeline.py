@@ -8,6 +8,8 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -303,6 +305,35 @@ class TestExecute:
             pipeline.execute(tiny_config(noise_amplitude=amplitude))
         assert err.value.stage == "invert"
 
+    def test_system_is_freed_before_noise(self, monkeypatch):
+        """Only the assembly health outlives acquisition, not the n x n system."""
+        refs, alive = [], []
+        assemble, add_noise = forward.assemble_single_layer, acquisition.add_noise
+
+        def assemble_spy(*args):
+            system = assemble(*args)
+            refs.append(weakref.ref(system))
+            return system
+
+        def noise_spy(*args):
+            alive.append(refs[0]() is not None)
+            return add_noise(*args)
+
+        monkeypatch.setattr(forward, "assemble_single_layer", assemble_spy)
+        monkeypatch.setattr(acquisition, "add_noise", noise_spy)
+        art = pipeline.execute(tiny_config(grid_nx=8, grid_ny=8))
+        assert alive == [False]
+        assert art.assembly["nodes_used"] == 128
+
+    def test_noise_beyond_double_range_fails_in_noise_stage(self):
+        cfg = preset("kite-C")
+        cfg.noise_amplitude, cfg.receiver_count, cfg.source_count = 1.7e308, 12, 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match=r"noise amplitude 1\.7e\+308") as err:
+                pipeline.execute(cfg)
+        assert err.value.stage == "noise"
+
     def test_large_noise_within_double_range_runs(self):
         art = pipeline.execute(tiny_config(noise_amplitude=1e20, grid_nx=8, grid_ny=8))
         assert art.matrix.delta > 1e18
@@ -364,6 +395,51 @@ class TestExecute:
             forward.assemble_single_layer((), cfg.ctx),
         )
         assert np.all(matrix.entries == 0)
+
+
+class TestStageMemory:
+    """Stage by stage through a kite-C run at J = L = 400: the tracemalloc
+    peak above the stage's inputs, its output included, counted in J x J
+    complex arrays (2.56 MB each)."""
+
+    J = 400
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        cfg = preset("kite-C")
+        cfg.receiver_count = cfg.source_count = self.J
+        ctx = cfg.ctx
+        receivers = geometry.circle_points(cfg.receiver_radius, self.J, beta=0.0,
+                                           role=geometry.ROLE_RECEIVER)
+        curve = geometry.place_scatterer(geometry.BoundaryCurve(kind="kite"), ctx,
+                                         cfg.scatterer_center, cfg.scatterer_size)
+        system = forward.assemble_single_layer(
+            geometry.discretize(curve, cfg.boundary_nodes), ctx)
+        unit = self.J ** 2 * np.dtype(complex).itemsize
+        peaks = {}
+
+        def traced(stage, fn, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = fn(*args, **kwargs)
+                peaks[stage] = (tracemalloc.get_traced_memory()[1] - base) / unit
+            finally:
+                tracemalloc.stop()
+            return result
+
+        matrix = traced("acquire", acquisition.cross_correlation_matrix, receivers,
+                        pipeline._build_sources(cfg), pipeline._sigma_length(cfg), system)
+        matrix = traced("noise", acquisition.add_noise, matrix, cfg.noise_amplitude,
+                        cfg.seed)
+        traced("invert", inversion.indicator_map, matrix, cfg.grid_spec(), ctx,
+               mask_radius=cfg.mask_radius)
+        return peaks
+
+    @pytest.mark.parametrize("stage, bound", [("acquire", 4.5), ("noise", 2.5),
+                                              ("invert", 3.5)])
+    def test_peak_above_inputs(self, peaks, stage, bound):
+        assert peaks[stage] <= bound
 
 
 class TestRun:

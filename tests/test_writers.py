@@ -40,7 +40,7 @@ def masked_map(nx, ny, seed=0):
     stats = MorozovStats(probed=int(mask.sum()), unsolvable=0, alpha_min=None,
                          alpha_median=None, alpha_max=None, newton_passes=0)
     return IndicatorMap(grid=grid, values=values, reciprocal=reciprocal, mask=mask,
-                        norm_min=0.0, norm_max=1.0, morozov=stats)
+                        morozov=stats)
 
 
 def traced_peak(fn):
