@@ -32,12 +32,11 @@ from .geometry import (
 )
 from .forward import (
     GeometryError,
-    PointScattererConfig,
+    PointScatterers,
     ResonanceWarning,
     SingleLayerSystem,
     assemble_single_layer,
     mie_scattered_circle,
-    point_scatterer_scattered,
 )
 from .acquisition import (
     FieldMatrix,

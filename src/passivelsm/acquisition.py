@@ -28,15 +28,7 @@ import numpy as np
 import scipy.spatial.distance
 import scipy.special
 
-from .forward import (
-    PointScattererConfig,
-    SingleLayerSystem,
-    point_scatterer_scattered,
-    require_exterior,
-    scattered_matrix,
-    solve_charges,
-    total_field_matrix,
-)
+from .forward import total_field_matrix
 from .geometry import PointSet
 from .seeding import substream
 from .specfun import WaveContext
@@ -95,16 +87,16 @@ def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
     return 0.5j * scipy.special.j0(r, out=r)
 
 
-def near_field_matrix(receivers: PointSet, system: SingleLayerSystem) -> FieldMatrix:
+def near_field_matrix(receivers: PointSet, model) -> FieldMatrix:
     """N_jm = u_s(x_j, x_m) with co-located sources and receivers.
 
-    One boundary factorization serves all J source columns; the result
-    is symmetric by reciprocity (exactly so in this discretization).
+    `model` is either forward model.  One boundary factorization serves
+    all J source columns; the result is symmetric by reciprocity (exactly
+    so in the single-layer discretization).
     """
     pts = receivers.points
-    require_exterior(system, pts, what="receiver")
-    entries = scattered_matrix(system, solve_charges(system, pts), pts)
-    return FieldMatrix(entries, NEAR_FIELD, receivers, system.ctx.k)
+    model.check_clearance(pts, what="receiver")
+    return FieldMatrix(model.scattered(pts, pts), NEAR_FIELD, receivers, model.ctx.k)
 
 
 def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
@@ -118,17 +110,17 @@ def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
 
 
 def _correlation_matrix(kind, receivers: PointSet, sources: PointSet,
-                        system: SingleLayerSystem, prefactor, gram, realizations=None):
+                        model, prefactor, gram, realizations=None):
     """prefactor * gram(u) - bracket, u the (J, L) total field at the receivers.
 
     gram(u) carries the kind's conjugation convention.  u is freed once
     the Gram product exists, which is scaled and shifted in place.
     """
-    require_exterior(system, receivers.points, what="receiver")
-    entries = gram(total_field_matrix(system, receivers.points, sources.points))
+    model.check_clearance(receivers.points, what="receiver")
+    entries = gram(total_field_matrix(model, receivers.points, sources.points))
     entries *= prefactor
-    entries -= imaginary_bracket(system.ctx, receivers)
-    return FieldMatrix(entries, kind, receivers, system.ctx.k, sources=sources,
+    entries -= imaginary_bracket(model.ctx, receivers)
+    return FieldMatrix(entries, kind, receivers, model.ctx.k, sources=sources,
                        realizations=realizations)
 
 
@@ -136,7 +128,7 @@ def cross_correlation_matrix(
     receivers: PointSet,
     random_sources: PointSet,
     sigma_length: float,
-    system: SingleLayerSystem,
+    model,
 ) -> FieldMatrix:
     """Cross-correlation matrix of total fields from sources on Sigma.
 
@@ -144,8 +136,8 @@ def cross_correlation_matrix(
     should surround both receivers and scatterers for the underlying
     identity to hold (a limited-aperture arc degrades it by design).
     """
-    prefactor = 2j * system.ctx.k * sigma_length / random_sources.count
-    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources, system,
+    prefactor = 2j * model.ctx.k * sigma_length / random_sources.count
+    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources, model,
                                prefactor, lambda u: np.conj(u) @ u.T)
 
 
@@ -155,7 +147,7 @@ def covariance_matrix(
     sigma_length: float,
     realizations: int,
     seed: int,
-    system: SingleLayerSystem,
+    model,
 ) -> FieldMatrix:
     """Empirical covariance matrix from M realizations of surface noise.
 
@@ -187,17 +179,8 @@ def covariance_matrix(
             acc += fields @ fields.conj().T
         return acc
 
-    return _correlation_matrix(COVARIANCE, receivers, sources, system,
-                               2j * system.ctx.k / realizations, gram, int(realizations))
-
-
-def point_scatterer_near_field(
-    receivers: PointSet, config: PointScattererConfig, ctx: WaveContext
-) -> FieldMatrix:
-    """Near-field matrix of the small-obstacle asymptotic model."""
-    pts = receivers.points
-    return FieldMatrix(point_scatterer_scattered(config, ctx, pts, pts), NEAR_FIELD,
-                       receivers, ctx.k)
+    return _correlation_matrix(COVARIANCE, receivers, sources, model,
+                               2j * model.ctx.k / realizations, gram, int(realizations))
 
 
 def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:

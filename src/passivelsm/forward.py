@@ -11,8 +11,11 @@ spectrally accurate for smooth curves.  The linear system acts on node
 "charges" nu_j = w_j psi_j (quadrature weight times density), which makes
 the matrix exactly symmetric and field evaluation a plain weighted sum.
 
-Two independent references are provided for validation: the Mie series
-for a circle and the small-obstacle (Born-type) point-scatterer model.
+Both pipeline forward models, this system and the small-obstacle
+(Born-type, no multiple scattering) point-scatterer model, answer
+`scattered(points, sources)`, the (P, S) matrix of u_s, and raise
+GeometryError from `check_clearance(points, what)`.  The Mie series for
+a circle is an independent reference for validation.
 """
 
 from __future__ import annotations
@@ -123,6 +126,13 @@ class SingleLayerSystem:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    def scattered(self, points, sources) -> np.ndarray:
+        """u_s at every point for every source, shape (P, S)."""
+        return scattered_matrix(self, solve_charges(self, sources), points)
+
+    def check_clearance(self, points, what="point") -> None:
+        require_exterior(self, points, what)
 
 
 def assemble_single_layer(
@@ -291,16 +301,16 @@ def _near_field(ctx: WaveContext, bnd: DiscretizedBoundary, nu, pts, dist):
     return fine
 
 
-def total_field_matrix(system: SingleLayerSystem, receivers, sources) -> np.ndarray:
-    """u(x_j, z_l) for all receiver/source pairs, shape (J, L).
+def total_field_matrix(model, receivers, sources) -> np.ndarray:
+    """u(x_j, z_l) for all receiver/source pairs of either model, shape (J, L).
 
     Raises GeometryError if a source coincides with a receiver.
     """
     try:
-        phi = green2d(system.ctx, receivers, sources)
+        phi = green2d(model.ctx, receivers, sources)
     except SingularityError as exc:
         raise GeometryError("a source coincides with a receiver") from exc
-    u = scattered_matrix(system, solve_charges(system, sources), receivers)
+    u = model.scattered(receivers, sources)
     u += phi
     return u
 
@@ -360,15 +370,19 @@ def mie_scattered_circle(
 
 
 @dataclass(frozen=True)
-class PointScattererConfig:
-    """Collection of small sound-soft circles for the asymptotic model."""
+class PointScatterers:
+    """Small sound-soft circles in the Born-type model (no multiple
+    scattering): u_s(x, y) ~ sum_l lambda_l phi(c_l, y) phi(x, c_l)."""
 
     centers: np.ndarray
     radii: np.ndarray
+    ctx: WaveContext
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
+        if not c.size:
+            raise ValueError("point scatterers need at least one center")
         if len(c) != len(r):
             raise ValueError("centers and radii must have equal length")
         if not (np.isfinite(c).all() and np.isfinite(r).all()):
@@ -378,22 +392,34 @@ class PointScattererConfig:
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
 
-    def reflection_coefficients(self, ctx: WaveContext) -> np.ndarray:
+    def reflection_coefficients(self) -> np.ndarray:
         """lambda_l = 4i / H_0^(1)(k r_l) = -1 / phi at distance r_l, from (k, r_l)."""
-        return -1.0 / green_kr(ctx.k * self.radii)
+        return -1.0 / green_kr(self.ctx.k * self.radii)
 
+    def scattered(self, points, sources) -> np.ndarray:
+        """u_s at every point for every source, shape (P, S), once
+        check_clearance passes the sources."""
+        self.check_clearance(sources, what="source")
+        c = self.centers
+        phi_xc = green2d(self.ctx, points, c)   # (P, L)
+        phi_cy = green2d(self.ctx, c, sources)  # (L, S)
+        return (phi_xc * self.reflection_coefficients()) @ phi_cy
 
-def point_scatterer_scattered(
-    config: PointScattererConfig, ctx: WaveContext, x, y
-):
-    """Born-type scattered field of small circles (no multiple scattering).
-
-        u_s(x, y) ~ sum_l lambda_l phi(c_l, y) phi(x, c_l),
-
-    for every point of `x` and source `y`, shape (P, S); a single point is
-    a batch of one.
-    """
-    c = config.centers
-    phi_xc = green2d(ctx, x, c)   # (P, L)
-    phi_cy = green2d(ctx, c, y)   # (L, S)
-    return (phi_xc * config.reflection_coefficients(ctx)) @ phi_cy
+    def check_clearance(self, points, what="point") -> None:
+        """GeometryError for a point inside or within MIN_SOURCE_CLEARANCE
+        wavelengths of a circle, then for two circles that overlap or touch."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        c, r = self.centers, self.radii
+        clearance = MIN_SOURCE_CLEARANCE * self.ctx.wavelength
+        if (scipy.spatial.distance.cdist(pts, c) < r + clearance).any():
+            raise GeometryError(
+                f"a {what} lies inside or within "
+                f"{MIN_SOURCE_CLEARANCE:g} wavelengths of a point scatterer")
+        apart = scipy.spatial.distance.cdist(c, c)
+        overlap = apart <= r[:, None] + r
+        np.fill_diagonal(overlap, False)
+        if overlap.any():
+            l, m = np.argwhere(overlap)[0]
+            raise GeometryError(
+                f"point scatterers {l + 1} and {m + 1} overlap: their centres are "
+                f"{apart[l, m]:g} apart, within the sum {r[l] + r[m]:g} of their radii")

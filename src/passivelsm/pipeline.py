@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy.spatial.distance import cdist
 
 from . import BLAS_THREAD_VARIABLES, acquisition, forward, geometry, inversion
 from .specfun import WaveContext
@@ -127,6 +126,14 @@ class ExperimentConfig:
         return WaveContext(k=self.k)
 
     def grid_spec(self) -> inversion.GridSpec:
+        """The probe grid; refuses an axis without points or a non-finite bound."""
+        for key, count in (("grid.nx", self.grid_nx), ("grid.ny", self.grid_ny)):
+            if count < 1:
+                raise ValueError(f"{key} = {count}: the grid needs at least one point per axis")
+        for key, value in zip(("grid.x_min", "grid.x_max", "grid.y_min", "grid.y_max"),
+                              (*self.grid_x, *self.grid_y)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} = {value} is not finite")
         return inversion.GridSpec(
             x_min=self.grid_x[0], x_max=self.grid_x[1],
             y_min=self.grid_y[0], y_max=self.grid_y[1],
@@ -338,8 +345,8 @@ def _stage(name: str, timings: dict):
     """Time one stage into `timings[name]` and tag what it raises.
 
     A PipelineError passes through unchanged; a forward.GeometryError is
-    tagged "geometry" (the acquisition builders make the run's only
-    exterior check) and any other exception `name`.
+    tagged "geometry" (the acquisition builders run the forward model's
+    clearance checks, in "acquire") and any other exception `name`.
     """
     t0 = time.perf_counter()
     try:
@@ -372,29 +379,11 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             arc=cfg.receiver_arc, role=geometry.ROLE_RECEIVER,
         )
         sources = _build_sources(cfg) if needs_sources else None
-        curve = None
-        point_config = None
+        grid = cfg.grid_spec()
+        model = curve = None
         if cfg.scatterer_kind == "point-scatterers":
-            if not cfg.point_centers:
-                raise ValueError("point-scatterers preset needs at least one center")
-            point_config = forward.PointScattererConfig(
-                centers=np.array(cfg.point_centers),
-                radii=np.full(len(cfg.point_centers), cfg.point_radius),
-            )
-            c, r = point_config.centers, point_config.radii
-            clearance = forward.MIN_SOURCE_CLEARANCE * ctx.wavelength
-            if (cdist(receivers.points, c) < r + clearance).any():
-                raise ValueError(
-                    "a receiver lies inside or within "
-                    f"{forward.MIN_SOURCE_CLEARANCE:g} wavelengths of a point scatterer")
-            apart = cdist(c, c)
-            overlap = apart <= r[:, None] + r
-            np.fill_diagonal(overlap, False)
-            if overlap.any():
-                l, m = np.argwhere(overlap)[0]
-                raise ValueError(
-                    f"point scatterers {l + 1} and {m + 1} overlap: their centres are "
-                    f"{apart[l, m]:g} apart, within the sum {r[l] + r[m]:g} of their radii")
+            model = forward.PointScatterers(
+                cfg.point_centers, np.full(len(cfg.point_centers), cfg.point_radius), ctx)
         elif cfg.scatterer_kind != "none":
             try:
                 builder = _CURVE_BUILDERS[cfg.scatterer_kind]
@@ -405,42 +394,39 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             )
 
     with _stage("assemble", timings):
-        system = None
-        if curve is not None:
-            n = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
-            if n != cfg.boundary_nodes:
-                logger.info("boundary nodes raised from %d to %d", cfg.boundary_nodes, n)
-            system = forward.assemble_single_layer(geometry.discretize(curve, n), ctx)
-        elif cfg.scatterer_kind == "none":
-            system = forward.assemble_single_layer((), ctx)
+        if model is None:
+            boundaries = ()
+            if curve is not None:
+                n = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
+                if n != cfg.boundary_nodes:
+                    logger.info("boundary nodes raised from %d to %d", cfg.boundary_nodes, n)
+                boundaries = geometry.discretize(curve, n)
+            model = forward.assemble_single_layer(boundaries, ctx)
 
     with _stage("acquire", timings):
         if cfg.matrix_kind in (acquisition.NEAR_FIELD, acquisition.IMAGINARY_NEAR_FIELD):
-            if point_config is not None:
-                matrix = acquisition.point_scatterer_near_field(receivers, point_config, ctx)
-            else:
-                matrix = acquisition.near_field_matrix(receivers, system)
+            matrix = acquisition.near_field_matrix(receivers, model)
             if cfg.matrix_kind == acquisition.IMAGINARY_NEAR_FIELD:
                 matrix = acquisition.imaginary_near_field_matrix(matrix)
-        elif point_config is not None:
+        elif isinstance(model, forward.PointScatterers):
             raise ValueError(
                 "point-scatterer runs support near-field and imaginary "
                 f"near-field matrices, not {cfg.matrix_kind}"
             )
         elif cfg.matrix_kind == acquisition.CROSS_CORRELATION:
             matrix = acquisition.cross_correlation_matrix(
-                receivers, sources, _sigma_length(cfg), system
+                receivers, sources, _sigma_length(cfg), model
             )
         elif cfg.matrix_kind == acquisition.COVARIANCE:
             matrix = acquisition.covariance_matrix(
                 receivers, sources, _sigma_length(cfg), cfg.realizations,
-                cfg.seed, system,
+                cfg.seed, model,
             )
         else:
             raise ValueError(f"unknown matrix kind {cfg.matrix_kind!r}")
     # the n x n matrix and its LU are not needed past acquisition
-    assembly = _assembly_health(cfg, system)
-    del system
+    assembly = _assembly_health(cfg, model)
+    del model
 
     with _stage("noise", timings):
         matrix = acquisition.add_noise(matrix, cfg.noise_amplitude, cfg.seed)
@@ -452,7 +438,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
 
     with _stage("invert", timings):
         indicator = inversion.indicator_map(
-            matrix, cfg.grid_spec(), ctx, mask_radius=cfg.mask_radius)
+            matrix, grid, ctx, mask_radius=cfg.mask_radius)
         if not indicator.mask.any():
             raise PipelineError("invert", (
                 f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
@@ -521,11 +507,11 @@ def _environment() -> dict:
     }
 
 
-def _assembly_health(config: ExperimentConfig, system) -> dict:
-    if system is None or not system.boundaries:
+def _assembly_health(config: ExperimentConfig, model) -> dict:
+    if not getattr(model, "boundaries", ()):
         return dict.fromkeys(("nodes_requested", "nodes_used", "condition_estimate"))
-    return {"nodes_requested": config.boundary_nodes, "nodes_used": system.size,
-            "condition_estimate": system.condition_estimate}
+    return {"nodes_requested": config.boundary_nodes, "nodes_used": model.size,
+            "condition_estimate": model.condition_estimate}
 
 
 def run(config: ExperimentConfig, outdir) -> RunManifest:

@@ -204,8 +204,7 @@ def criterion_2_mie():
     errs = {}
     for n in (64, 128, 256):
         system = forward.assemble_single_layer(geometry.discretize(curve, n), _CTX)
-        charges = forward.solve_charges(system, y[None, :])
-        us = forward.scattered_matrix(system, charges, obs)[:, 0]
+        us = system.scattered(obs, y)[:, 0]
         errs[n] = float(np.abs(us - ref).max() / scale)
     ratio = errs[64] / max(errs[128], 1e-300)
     floor = max(errs[64], errs[128]) < 1e-10
@@ -391,11 +390,8 @@ def criterion_10_point_scatterers():
     y = 5.0 * _LAM * np.array([math.cos(1.0), math.sin(1.0)])
     theta = 2.0 * math.pi * np.arange(16) / 16 + 0.05
     obs = 5.0 * _LAM * np.column_stack([np.cos(theta), np.sin(theta)])
-    charges = forward.solve_charges(system, y[None, :])
-    bem = forward.scattered_matrix(system, charges, obs)[:, 0]
-    config = forward.PointScattererConfig(centers=np.zeros((1, 2)),
-                                          radii=np.array([radius]))
-    born = forward.point_scatterer_scattered(config, _CTX, obs, y)[:, 0]
+    bem = system.scattered(obs, y)[:, 0]
+    born = forward.PointScatterers(np.zeros((1, 2)), [radius], _CTX).scattered(obs, y)[:, 0]
     rel = float(np.abs(born - bem).max() / np.abs(bem).max())
     return all(peaks) and rel < 0.05, {"peaks_found": peaks, "born_vs_bem": rel}
 

@@ -17,7 +17,6 @@ from passivelsm.acquisition import (
     imaginary_bracket,
     imaginary_near_field_matrix,
     near_field_matrix,
-    point_scatterer_near_field,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -74,13 +73,13 @@ class TestNearField:
 
 class TestPointScattererNearField:
     def test_matches_columnwise_born_field_and_is_symmetric(self, ctx, receivers):
-        config = forward.PointScattererConfig(
-            centers=[[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], radii=[0.01, 0.02, 0.01]
+        model = forward.PointScatterers(
+            [[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], [0.01, 0.02, 0.01], ctx
         )
-        e = point_scatterer_near_field(receivers, config, ctx).entries
+        e = near_field_matrix(receivers, model).entries
         pts = receivers.points
         ref = np.column_stack([
-            forward.point_scatterer_scattered(config, ctx, pts, pts[m])[:, 0]
+            model.scattered(pts, pts[m])[:, 0]
             for m in range(len(pts))
         ])
         assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()

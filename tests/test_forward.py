@@ -1,25 +1,26 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from passivelsm import forward, geometry
+from passivelsm.acquisition import near_field_matrix
 from passivelsm.forward import (
     GeometryError,
-    PointScattererConfig,
+    PointScatterers,
     ResonanceWarning,
     TruncationWarning,
     assemble_single_layer,
     mie_scattered_circle,
-    point_scatterer_scattered,
     scattered_matrix,
     solve_charges,
     total_field_matrix,
 )
-from passivelsm.geometry import BoundaryCurve, discretize, place_scatterer
+from passivelsm.geometry import BoundaryCurve, circle_points, discretize, place_scatterer
 from passivelsm.specfun import WaveContext, green2d
 
 from oracles import (
@@ -324,33 +325,38 @@ class TestPointScatterer:
         ([[math.nan, 0.0]], [0.01]),
         ([[0.0, 0.0], [1.0, -math.inf]], [0.01, 0.01]),
     ], ids=["radius-nan", "radius-inf", "center-nan", "center-inf"])
-    def test_rejects_non_finite(self, centers, radii):
+    def test_rejects_non_finite(self, ctx, centers, radii):
         with pytest.raises(ValueError, match="must be finite"):
-            PointScattererConfig(centers=centers, radii=radii)
+            PointScatterers(centers, radii, ctx)
+
+    @pytest.mark.parametrize("centers, radii", [((), ()), (np.zeros((0, 2)), [])],
+                             ids=["empty-tuple", "empty-array"])
+    def test_rejects_no_centers(self, ctx, centers, radii):
+        with pytest.raises(ValueError, match="at least one center"):
+            PointScatterers(centers, radii, ctx)
 
     def test_symmetry(self, ctx):
-        config = PointScattererConfig(centers=[[0.0, 0.0], [1.0, 1.0]],
-                                      radii=[0.01, 0.02])
+        model = PointScatterers([[0.0, 0.0], [1.0, 1.0]], [0.01, 0.02], ctx)
         a = np.array([3.0, 0.5])
         b = np.array([-2.0, 1.5])
-        assert point_scatterer_scattered(config, ctx, a, b)[0, 0] == pytest.approx(
-            point_scatterer_scattered(config, ctx, b, a)[0, 0], rel=1e-12
+        assert model.scattered(a, b)[0, 0] == pytest.approx(
+            model.scattered(b, a)[0, 0], rel=1e-12
         )
 
     def test_reflection_coefficients_equal_rim_formula_bitwise(self):
         rng = np.random.default_rng(20)
         for _ in range(200):
             radii = 10.0 ** rng.uniform(-8.0, 0.0, rng.integers(1, 6))
-            config = PointScattererConfig(centers=np.zeros((len(radii), 2)), radii=radii)
             ctx = WaveContext(rng.uniform(0.1, 50.0))
-            assert (config.reflection_coefficients(ctx).tobytes()
-                    == reflection_coefficients_at_rim(ctx, config.radii).tobytes())
+            model = PointScatterers(np.zeros((len(radii), 2)), radii, ctx)
+            assert (model.reflection_coefficients().tobytes()
+                    == reflection_coefficients_at_rim(ctx, model.radii).tobytes())
 
     def test_reflection_shrinks_logarithmically(self, ctx):
-        small = PointScattererConfig(centers=[[0.0, 0.0]], radii=[1e-3])
-        tiny = PointScattererConfig(centers=[[0.0, 0.0]], radii=[1e-6])
-        lam_small = abs(small.reflection_coefficients(ctx)[0])
-        lam_tiny = abs(tiny.reflection_coefficients(ctx)[0])
+        small = PointScatterers([[0.0, 0.0]], [1e-3], ctx)
+        tiny = PointScatterers([[0.0, 0.0]], [1e-6], ctx)
+        lam_small = abs(small.reflection_coefficients()[0])
+        lam_tiny = abs(tiny.reflection_coefficients()[0])
         assert lam_tiny < lam_small
         # 1/|log r| scaling: ratio of logs, not of radii
         assert lam_small / lam_tiny == pytest.approx(
@@ -361,13 +367,13 @@ class TestPointScatterer:
         radius = 0.01
         curve = BoundaryCurve(kind="circle", params=(radius,))
         system = assemble_single_layer(discretize(curve, 64), ctx)
-        config = PointScattererConfig(centers=[[0.0, 0.0]], radii=[radius])
+        model = PointScatterers([[0.0, 0.0]], [radius], ctx)
         y = 5.0 * np.array([math.cos(1.0), math.sin(1.0)])
         theta = 2 * np.pi * np.arange(16) / 16 + 0.05
         obs = 5.0 * np.column_stack([np.cos(theta), np.sin(theta)])
         charges = solve_charges(system, y[None, :])
         bem = scattered_matrix(system, charges, obs)[:, 0]
-        born = point_scatterer_scattered(config, ctx, obs, y)[:, 0]
+        born = model.scattered(obs, y)[:, 0]
         assert np.abs(born - bem).max() / np.abs(bem).max() < 0.05
 
 
@@ -481,3 +487,55 @@ class TestSpectralConvergence:
             errs.append(np.abs(us - ref).max() / scale)
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / max(fine, 1e-300) > 10.0 or max(coarse, fine) < 1e-10
+
+
+@pytest.fixture(scope="module", params=["kite", "three-circles"])
+def model_case(request, ctx, kite_system):
+    """A forward model and its bad receivers: inside it, and within the
+    1e-3-wavelength clearance."""
+    if request.param == "kite":
+        bnd = kite_system.boundaries[0]
+        normal = outward_unit_normals(bnd.curve, bnd.n)[0]
+        return kite_system, {"inside": [(2.0, 2.0)],
+                             "near": [bnd.nodes[0] + 5e-4 * ctx.wavelength * normal]}
+    model = PointScatterers([[-2.0, -2.0], [2.0, 2.0], [2.0, -2.0]], [0.01] * 3, ctx)
+    # half a radius inside, on a centre, and 5e-4 wavelengths beyond a rim
+    return model, {"inside": [(2.005, 2.0), (2.0, 2.0)], "near": [(2.0105, 2.0)]}
+
+
+class TestModelInterface:
+    """Both forward models answer scattered and check_clearance alike."""
+
+    A = 5.0 * np.column_stack([np.cos(0.1 + np.arange(5) * 1.3),
+                               np.sin(0.1 + np.arange(5) * 1.3)])
+    B = 7.0 * np.column_stack([np.cos(0.5 + np.arange(4) * 1.6),
+                               np.sin(0.5 + np.arange(4) * 1.6)])
+
+    def test_scattered_is_points_by_sources(self, model_case):
+        model, _ = model_case
+        mat = model.scattered(self.A, self.B)
+        assert mat.shape == (len(self.A), len(self.B)) and mat.dtype == complex
+        single = model.scattered(self.A[2], self.B[1])
+        assert single.shape == (1, 1)
+        assert single[0, 0] == pytest.approx(mat[2, 1], rel=1e-12)
+
+    def test_reciprocity(self, model_case):
+        model, _ = model_case
+        ab = model.scattered(self.A, self.B)
+        assert np.abs(ab - model.scattered(self.B, self.A).T).max() <= (
+            1e-12 * np.abs(ab).max())
+
+    @pytest.mark.parametrize("case, message", [
+        ("inside", "inside"), ("near", "within 0.001 wavelengths"),
+    ])
+    def test_bad_point_is_refused(self, model_case, case, message):
+        model, bad = model_case
+        clean = circle_points(5.0, 8)
+        for point in bad[case]:
+            with pytest.raises(GeometryError, match=f"receiver lies .*{message}"):
+                model.check_clearance(point, what="receiver")
+            receivers = replace(clean, points=np.vstack([clean.points, point]))
+            with pytest.raises(GeometryError, match=f"receiver lies .*{message}"):
+                near_field_matrix(receivers, model)
+            with pytest.raises(GeometryError, match=f"source lies .*{message}"):
+                model.scattered(self.A, point)

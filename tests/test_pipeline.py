@@ -243,6 +243,18 @@ class TestExecute:
             pipeline.execute(cfg)
         assert err.value.stage == "geometry"
 
+    @pytest.mark.parametrize("kind", [acquisition.CROSS_CORRELATION,
+                                      acquisition.COVARIANCE])
+    def test_point_scatterers_refuse_correlation_kinds(self, kind):
+        cfg = preset("point-scatterers")
+        cfg.matrix_kind = kind
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(cfg)
+        assert err.value.stage == "acquire"
+        assert str(err.value) == (
+            "[acquire] point-scatterer runs support near-field and imaginary "
+            f"near-field matrices, not {kind}")
+
     def test_point_scatterers_just_clear_of_receivers_and_each_other_run(self):
         # 2e-3 wavelengths from the receiver at (5, 0), 1e-3 between the rims
         cfg = preset("point-scatterers")
@@ -343,11 +355,22 @@ class TestExecute:
             pipeline.execute(tiny_config(k=-1.0))
         assert err.value.stage == "geometry"
 
-    @pytest.mark.parametrize("overrides", [{"grid_nx": 0}, {"mask_radius": 0.0}])
+    # a grid wholly outside the mask, and a mask that holds no grid point
+    @pytest.mark.parametrize("overrides", [{"grid_x": (10.0, 12.0)}, {"mask_radius": 0.0}])
     def test_grid_without_probed_point_fails_in_invert_stage(self, overrides):
         with pytest.raises(PipelineError, match="no grid point was probed") as err:
             pipeline.execute(tiny_config(**overrides))
         assert err.value.stage == "invert"
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid.nx", "0"), ("grid.nx", "-1"), ("grid.ny", "0"), ("grid.x_min", "-inf"),
+        ("grid.x_max", "nan"), ("grid.y_min", "nan"), ("grid.y_max", "inf"),
+    ])
+    def test_bad_grid_fails_in_geometry_stage_by_name(self, tiny_ini, key, value):
+        cfg = ExperimentConfig.from_ini(tiny_ini, [(key, value)])
+        with pytest.raises(PipelineError, match=f"{key} = {value}") as err:
+            pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
 
     @pytest.mark.parametrize("mode", ["unifrom", "bogus"])
     def test_unknown_source_mode_fails_in_geometry_stage(self, mode):
