@@ -15,6 +15,7 @@ non-self-intersecting.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,6 +104,19 @@ class BoundaryCurve:
     def diameter(self) -> float:
         return self.scale * self.canonical_diameter()
 
+    @cached_property
+    def _polygon(self):
+        """(t, vertices, k-d tree) of the POLYGON_SAMPLES-vertex polygon
+        x(t_j), t_j = 2 pi j / POLYGON_SAMPLES, built on first use and
+        shared by every interior and distance query on this curve.  The
+        curve is frozen and `replace` makes a new instance with no cache,
+        so the polygon never outlives the placement it was built for."""
+        t = 2.0 * np.pi * np.arange(POLYGON_SAMPLES) / POLYGON_SAMPLES
+        vertices = self.point(t)
+        for arr in (t, vertices):
+            arr.flags.writeable = False
+        return t, vertices, scipy.spatial.cKDTree(vertices)
+
 
 def place_scatterer(
     curve: BoundaryCurve, ctx: WaveContext, center, size: float
@@ -166,12 +180,10 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
 def _nearest_vertex(curve: BoundaryCurve, points):
     """Points, and for each its nearest of the POLYGON_SAMPLES vertices
     x(t_j), t_j = 2 pi j / POLYGON_SAMPLES: that vertex, its parameter t_j
-    and the distance to it (one k-d tree query).  Only curve.point is
-    evaluated; no derivative, speed or normal."""
+    and the distance to it (one query of the curve's cached k-d tree)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = 2.0 * np.pi * np.arange(POLYGON_SAMPLES) / POLYGON_SAMPLES
-    vertices = curve.point(t)
-    dist, idx = scipy.spatial.cKDTree(vertices).query(pts)
+    t, vertices, tree = curve._polygon
+    dist, idx = tree.query(pts)
     return pts, vertices[idx], t[idx], dist
 
 

@@ -126,7 +126,8 @@ class ExperimentConfig:
         return WaveContext(k=self.k)
 
     def grid_spec(self) -> inversion.GridSpec:
-        """The probe grid; refuses an axis without points or a non-finite bound."""
+        """The probe grid; refuses an axis without points, a non-finite
+        bound, or a mask radius that is NaN or negative."""
         for key, count in (("grid.nx", self.grid_nx), ("grid.ny", self.grid_ny)):
             if count < 1:
                 raise ValueError(f"{key} = {count}: the grid needs at least one point per axis")
@@ -134,6 +135,8 @@ class ExperimentConfig:
                               (*self.grid_x, *self.grid_y)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} = {value} is not finite")
+        if not self.mask_radius >= 0:
+            raise ValueError(f"grid.mask_radius = {self.mask_radius} must be >= 0")
         return inversion.GridSpec(
             x_min=self.grid_x[0], x_max=self.grid_x[1],
             y_min=self.grid_y[0], y_max=self.grid_y[1],

@@ -10,6 +10,7 @@ order (or on how many workers) the stages run.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +19,13 @@ def _tag_word(tag) -> int:
     """Stable 64-bit word for a stream tag (int passes through)."""
     if isinstance(tag, (int, np.integer)):
         return int(tag) & 0xFFFFFFFFFFFFFFFF
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=8).digest()
+    return _string_word(str(tag))
+
+
+@lru_cache(maxsize=256)
+def _string_word(tag: str) -> int:
+    """blake2b word of a string tag, hashed once per distinct tag."""
+    digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -6,9 +6,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from passivelsm import geometry
 from passivelsm.specfun import WaveContext
 
 
 @pytest.fixture(scope="session")
 def ctx():
     return WaveContext(k=2.0 * np.pi)
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """A list that gains one entry per cKDTree the geometry module builds."""
+    built = []
+    tree_class = geometry.scipy.spatial.cKDTree
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return tree_class(*args, **kwargs)
+
+    monkeypatch.setattr(geometry.scipy.spatial, "cKDTree", counting)
+    return built

@@ -155,6 +155,20 @@ class TestCrossCorrelation:
         assert e09_l200 < e03
 
 
+@pytest.mark.parametrize("kind", ["C", "covariance"])
+def test_kite_matrix_builds_one_polygon_tree(ctx, receivers, tree_builds, kind):
+    """The clearance check, the source check and the near/far split of
+    one matrix all query the one k-d tree cached on the kite."""
+    curve = place_scatterer(BoundaryCurve(kind="kite"), ctx, (2.0, 2.0), 0.5)
+    system = forward.assemble_single_layer(discretize(curve, 64), ctx)
+    sources = make_sources(24)
+    if kind == "C":
+        cross_correlation_matrix(receivers, sources, SIGMA_LENGTH, system)
+    else:
+        covariance_matrix(receivers, sources, SIGMA_LENGTH, 8, 0, system)
+    assert len(tree_builds) == 1
+
+
 class TestBracket:
     def test_equals_the_out_of_place_expression_bitwise(self, ctx, receivers):
         pts = receivers.points

@@ -339,6 +339,44 @@ class TestInteriorQueries:
             expected = polygon_contains_even_odd(_sampled_curve(curve), pts)
             np.testing.assert_array_equal(contains_points(curve, pts), expected)
 
+    def test_repeated_queries_equal_first_and_brute_force(self):
+        curve = BoundaryCurve(kind="kite", center=(0.3, -0.2), scale=0.8, rotation=0.4)
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-3.0, 3.0, (300, 2))
+        poly = _sampled_curve(curve)
+        sq = ((pts[:, None, :] - poly[None, :, :]) ** 2).sum(-1)
+        brute = np.sqrt(sq.min(axis=1))
+        off = pts - poly[sq.argmin(axis=1)]
+        d = curve.derivative(2.0 * np.pi * sq.argmin(axis=1) / geometry.POLYGON_SAMPLES)
+        brute_inside = off[:, 0] * d[:, 1] - off[:, 1] * d[:, 0] < 0
+        first = boundary_distance(curve, pts), contains_points(curve, pts)
+        second = boundary_distance(curve, pts), contains_points(curve, pts)
+        for a, b, expected in zip(first, second, (brute, brute_inside)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, expected)
+
+    def test_moved_curve_answers_for_its_own_placement(self):
+        curve = BoundaryCurve(kind="kite", center=(0.0, 0.0))
+        assert contains_points(curve, [[0.0, 0.0]])[0]   # fills the cache
+        moved = replace(curve, center=(10.0, 0.0))
+        assert not contains_points(moved, [[0.0, 0.0]])[0]
+        assert contains_points(moved, [[10.0, 0.0]])[0]
+        pts = [[10.0, 0.0], [0.0, 0.0], [11.0, 1.0]]
+        fresh = BoundaryCurve(kind="kite", center=(10.0, 0.0))
+        assert np.array_equal(boundary_distance(moved, pts), boundary_distance(fresh, pts))
+        assert moved._polygon[2] is not curve._polygon[2]
+
+    def test_polygon_is_built_once_and_read_only(self, tree_builds):
+        curve = BoundaryCurve(kind="ellipse", params=(1.0, 0.5))
+        for _ in range(3):
+            contains_points(curve, [[0.0, 0.0]])
+            boundary_distance(curve, [[2.0, 0.0]])
+        assert len(tree_builds) == 1
+        t, vertices, _ = curve._polygon
+        assert not t.flags.writeable and not vertices.flags.writeable
+        with pytest.raises(ValueError):
+            vertices[0, 0] = 1.0
+
     def test_normal_offsets_classified_by_sign(self):
         """Points 1e-2 node spacings off the curve along its exact normal."""
         for curve, rng in _random_curves(12, seed=13):
