@@ -49,10 +49,9 @@ from .acquisition import (
 from .inversion import (
     GridSpec,
     IndicatorMap,
-    MorozovNoRootError,
     SvdFactors,
     indicator_map,
-    morozov_alpha,
+    morozov_alphas,
     svd,
     tikhonov_solve,
 )

@@ -104,16 +104,15 @@ def _self_block(bnd: DiscretizedBoundary, ctx: WaveContext) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingleLayerSystem:
-    """Assembled (and factorized) single-layer boundary system.
+    """The single-layer boundary system, held as the LU factors of its matrix.
 
     The matrix acts on node charges; it is symmetric because the kernel
     phi(x, y) is.  An empty boundary list yields the trivial system of a
-    free medium.
+    free medium, with lu None.
     """
 
     boundaries: tuple
     ctx: WaveContext
-    matrix: np.ndarray
     lu: object
     condition_estimate: float
 
@@ -125,7 +124,7 @@ class SingleLayerSystem:
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return sum(b.n for b in self.boundaries)
 
     def scattered(self, points, sources) -> np.ndarray:
         """u_s at every point for every source, shape (P, S)."""
@@ -135,16 +134,36 @@ class SingleLayerSystem:
         require_exterior(self, points, what)
 
 
+def _system_matrix(boundaries: tuple, ctx: WaveContext) -> np.ndarray:
+    """The unfactored single-layer matrix, bitwise symmetric.
+
+    Diagonal blocks use the Kress log-singularity quadrature; blocks
+    coupling distinct boundaries are smooth and get the plain trapezoid
+    rule, filled once and mirrored.
+    """
+    offs = np.cumsum([0] + [b.n for b in boundaries])
+    matrix = np.zeros((offs[-1], offs[-1]), dtype=complex)
+    for a, ba in enumerate(boundaries):
+        sa = slice(offs[a], offs[a + 1])
+        matrix[sa, sa] = _self_block(ba, ctx)
+        for b in range(a + 1, len(boundaries)):
+            sb = slice(offs[b], offs[b + 1])
+            block = green2d(ctx, ba.nodes, boundaries[b].nodes)
+            matrix[sa, sb] = block
+            matrix[sb, sa] = block.T
+    return matrix
+
+
 def assemble_single_layer(
     boundaries: Union[DiscretizedBoundary, Sequence[DiscretizedBoundary]],
     ctx: WaveContext,
 ) -> SingleLayerSystem:
     """Assemble and factorize the single-layer system for the scatterers.
 
-    Diagonal blocks use the Kress log-singularity quadrature; blocks
-    coupling distinct boundaries are smooth and get the plain trapezoid
-    rule.  Emits ResonanceWarning when the 1-norm condition estimate
-    (LAPACK gecon on the LU factors) exceeds 1e10, the numerical
+    Only the LU factors are kept: the matrix is bitwise symmetric, so its
+    Fortran-ordered transpose is the matrix itself and LAPACK factorizes
+    it in place.  Emits ResonanceWarning when the 1-norm condition
+    estimate (LAPACK gecon on the LU factors) exceeds 1e10, the numerical
     footprint of k^2 hitting an interior Dirichlet eigenvalue.  Raises
     ValueError, before allocating, for more than MAX_BOUNDARY_NODES nodes.
     """
@@ -154,24 +173,15 @@ def assemble_single_layer(
     for b in boundaries:
         if b.n < 32 or b.n % 2:
             raise ValueError(f"boundary node count must be even and >= 32, got {b.n}")
-    sizes = [b.n for b in boundaries]
-    ntot = int(sum(sizes))
+    ntot = sum(b.n for b in boundaries)
     if ntot > MAX_BOUNDARY_NODES:
         raise ValueError(f"the boundary needs {ntot} nodes, more than the "
                          f"{MAX_BOUNDARY_NODES} a single-layer system may have")
-    matrix = np.zeros((ntot, ntot), dtype=complex)
-    offs = np.cumsum([0] + sizes)
-    for a, ba in enumerate(boundaries):
-        sa = slice(offs[a], offs[a + 1])
-        matrix[sa, sa] = _self_block(ba, ctx)
-        for b in range(a + 1, len(boundaries)):
-            sb = slice(offs[b], offs[b + 1])
-            block = green2d(ctx, ba.nodes, boundaries[b].nodes)
-            matrix[sa, sb] = block
-            matrix[sb, sa] = block.T
     if ntot:
-        lu = scipy.linalg.lu_factor(matrix)
-        rcond, _ = scipy.linalg.lapack.zgecon(lu[0], np.linalg.norm(matrix, 1), norm="1")
+        matrix = _system_matrix(boundaries, ctx)
+        norm = np.linalg.norm(matrix, 1)
+        lu = scipy.linalg.lu_factor(matrix.T, overwrite_a=True)
+        rcond, _ = scipy.linalg.lapack.zgecon(lu[0], norm, norm="1")
         cond = float(1.0 / rcond) if rcond > 0 else np.inf
     else:
         cond, lu = 1.0, None
@@ -184,10 +194,7 @@ def assemble_single_layer(
             stacklevel=2,
         )
     logger.debug("assembled single-layer system: n=%d cond=%.3e", ntot, cond)
-    return SingleLayerSystem(
-        boundaries=boundaries, ctx=ctx, matrix=matrix, lu=lu,
-        condition_estimate=cond,
-    )
+    return SingleLayerSystem(boundaries=boundaries, ctx=ctx, lu=lu, condition_estimate=cond)
 
 
 # ---------------------------------------------------------------------------

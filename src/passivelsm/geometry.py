@@ -147,7 +147,10 @@ class DiscretizedBoundary:
     n: int
     nodes: np.ndarray
     speeds: np.ndarray
-    weights: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return (2.0 * np.pi / self.n) * self.speeds
 
     @property
     def perimeter(self) -> float:
@@ -167,11 +170,9 @@ def discretize(curve: BoundaryCurve, n: int) -> DiscretizedBoundary:
     speeds = np.sqrt((curve.derivative(t) ** 2).sum(axis=1))
     if np.any(speeds <= 0):
         raise ValueError("degenerate parametrization: |x'(t)| must be positive")
-    weights = (2.0 * np.pi / n) * speeds
-    for arr in (nodes, speeds, weights):
+    for arr in (nodes, speeds):
         arr.flags.writeable = False
-    return DiscretizedBoundary(curve=curve, n=n, nodes=nodes, speeds=speeds,
-                               weights=weights)
+    return DiscretizedBoundary(curve=curve, n=n, nodes=nodes, speeds=speeds)
 
 
 # ---------------------------------------------------------------------------

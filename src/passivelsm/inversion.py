@@ -44,10 +44,6 @@ MOROZOV_BLOCK = 40960           # J x probe entries per block of indicator_map
 ALPHA_FLOOR = 1e-30
 
 
-class MorozovNoRootError(RuntimeError):
-    """The discrepancy equation has no positive root: noise exceeds signal."""
-
-
 @dataclass(frozen=True)
 class SvdFactors:
     """Full SVD A = U diag(sigma) V* of a square complex matrix."""
@@ -89,7 +85,7 @@ def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
     delta^2 sigma^2.q and dF/dalpha = 2 (alpha + delta^2) sigma^2.(q r).
     b2 is one block of probe columns, so a pass holds two J x block
     temporaries.  Only the Newton passes call it: the no-root test at
-    ALPHA_FLOOR is one weight-vector product in _morozov_many.
+    ALPHA_FLOOR is one weight-vector product in morozov_alphas.
     """
     r = np.add.outer(alpha, sigma2)
     np.reciprocal(r, out=r)
@@ -101,25 +97,27 @@ def _discrepancy_slope(alpha, cols, sigma2, delta2, b2):
     return f, 2.0 * alpha * (alpha + delta2) * (q @ sigma2)
 
 
-def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
+def morozov_alphas(sigma: np.ndarray, b2: np.ndarray, delta: float):
     """Morozov's alpha for every column of squared coefficients b2 = |U* phi_z|^2.
 
-    Returns (alpha, passes).  alpha is inf where F(ALPHA_FLOOR) >= 0: no
-    root exists, and the alpha -> inf limit gives ||g|| = 0.  That test is
-    one (J,)(J x block) product of the _discrepancy_weights at ALPHA_FLOOR,
-    made first, so a block without roots stops before the bracket (whose
-    log(delta sigma_max) needs sigma_max > 0).  Every term of F is <= 0 at
-    delta sigma_min and >= 0 at delta sigma_max, so one (K x J)(J x block)
-    product of the same weights on K log-spaced alpha in between brackets
-    each root.  Newton steps in log(alpha) from the secant of the bracket
-    then refine it, each pass over the columns still active.  b2 is one
-    block of probe columns, so each step holds one J x block temporary.
+    Returns (alpha, passes); one probe is a batch of one column.  alpha is
+    inf where no root exists, and the alpha -> inf limit gives ||g|| = 0:
+    for every column when delta <= 0, else where F(ALPHA_FLOOR) >= 0, as
+    for a zero column.  That test is one (J,)(J x block) product of the
+    _discrepancy_weights at ALPHA_FLOOR, made first, so a block without
+    roots stops before the bracket (whose log(delta sigma_max) needs
+    sigma_max > 0).  Every term of F is <= 0 at delta sigma_min and >= 0
+    at delta sigma_max, so one (K x J)(J x block) product of the same
+    weights on K log-spaced alpha in between brackets each root.  Newton
+    steps in log(alpha) from the secant of the bracket then refine it,
+    each pass over the columns still active.  b2 is one block of probe
+    columns, so each step holds one J x block temporary.
     """
     sigma2 = sigma ** 2
     delta2 = delta ** 2
     alpha = np.full(b2.shape[1], np.inf)
     active = np.flatnonzero(_discrepancy_weights(ALPHA_FLOOR, sigma2, delta2) @ b2 < 0)
-    if not active.size:
+    if not (delta > 0 and active.size):
         return alpha, 0
     grid = np.linspace(np.log(max(delta * float(sigma.min()), ALPHA_FLOOR)),
                        np.log(delta * float(sigma.max())), MOROZOV_BRACKET_POINTS)
@@ -147,24 +145,6 @@ def _morozov_many(sigma: np.ndarray, b2: np.ndarray, delta: float):
         active, t, lo, hi = active[~done], t_next[~done], lo[~done], hi[~done]
     alpha[active] = np.exp(t)
     return alpha, passes
-
-
-def morozov_alpha(factors: SvdFactors, b: np.ndarray, delta: float) -> float:
-    """Positive root of the discrepancy equation for coefficients b = U* phi_z.
-
-    Raises MorozovNoRootError when no root exists (the noise level
-    exceeds what the data can resolve); callers then take the
-    alpha -> infinity limit, where ||g|| -> 0.
-    """
-    if delta <= 0:
-        raise ValueError("morozov_alpha requires delta > 0")
-    b = np.asarray(b)
-    if not np.any(np.abs(b) > 0):
-        raise MorozovNoRootError("zero right-hand side")
-    alpha, _ = _morozov_many(factors.sigma, (np.abs(b) ** 2)[:, None], delta)
-    if not np.isfinite(alpha[0]):
-        raise MorozovNoRootError("noise exceeds signal: no discrepancy root")
-    return float(alpha[0])
 
 
 def _tikhonov_norms(sigma: np.ndarray, b2: np.ndarray, alpha: np.ndarray):
@@ -241,17 +221,32 @@ class MorozovStats:
 
 @dataclass(frozen=True)
 class IndicatorMap:
-    """Raw ||g_z|| values and the normalized reciprocal visual indicator.
+    """Raw ||g_z|| values, from which the mask and the normalized
+    reciprocal visual indicator are derived.
 
-    mask marks cells that were probed successfully inside the mask
-    radius; masked-out cells carry value 0 in both fields.
+    Cells that were not probed successfully inside the mask radius carry
+    value 0.
     """
 
     grid: GridSpec
     values: np.ndarray
-    reciprocal: np.ndarray
-    mask: np.ndarray
     morozov: MorozovStats
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The cells probed successfully: values > 0."""
+        return self.values > 0
+
+    @property
+    def reciprocal(self) -> np.ndarray:
+        """1/values min-max normalized over the mask, 0 elsewhere."""
+        reciprocal = np.zeros(self.values.shape)
+        valid = self.mask
+        if valid.any():
+            rec = 1.0 / self.values[valid]
+            lo, hi = float(rec.min()), float(rec.max())
+            reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
+        return reciprocal
 
 
 def indicator_map(
@@ -306,7 +301,7 @@ def indicator_map(
         part = slice(start, start + block)
         b2 = np.abs(uh @ rhs_vectors(receivers, zs[part], ctx))
         b2 *= b2
-        alpha[part], block_passes = _morozov_many(sigma, b2, delta)
+        alpha[part], block_passes = morozov_alphas(sigma, b2, delta)
         # an unsolvable probe has alpha = inf and so ||g|| = 0
         gnorm[part] = _tikhonov_norms(sigma, b2, alpha[part])
         passes = max(passes, block_passes)
@@ -321,22 +316,8 @@ def indicator_map(
         alpha_max=float(solved.max()) if solved.size else None,
         newton_passes=passes,
     )
-    reciprocal = np.zeros(len(pts))
-    valid = values > 0
-    if valid.any():
-        rec = 1.0 / values[valid]
-        lo, hi = float(rec.min()), float(rec.max())
-        reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
-    shape = (grid.nx, grid.ny)
-    n_ok = int(valid.sum())
-    logger.debug("indicator map: %d/%d grid points probed", n_ok, len(pts))
-    return IndicatorMap(
-        grid=grid,
-        values=values.reshape(shape),
-        reciprocal=reciprocal.reshape(shape),
-        mask=valid.reshape(shape),
-        morozov=stats,
-    )
+    logger.debug("indicator map: %d/%d grid points probed", len(zs), len(pts))
+    return IndicatorMap(grid=grid, values=values.reshape(grid.nx, grid.ny), morozov=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -443,9 +443,15 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
         indicator = inversion.indicator_map(
             matrix, grid, ctx, mask_radius=cfg.mask_radius)
         if not indicator.mask.any():
-            raise PipelineError("invert", (
-                f"no grid point was probed: the {cfg.grid_nx}x{cfg.grid_ny} grid has no "
-                f"point within mask_radius={cfg.mask_radius:g} whose probe succeeded"))
+            stats = indicator.morozov
+            if not stats.probed:
+                why = (f"the {cfg.grid_nx}x{cfg.grid_ny} grid has no point within "
+                       f"mask_radius={cfg.mask_radius:g} clear of the receivers")
+            else:
+                why = (f"{stats.unsolvable} of its {stats.probed} probes have no Morozov "
+                       f"root above ALPHA_FLOOR = {inversion.ALPHA_FLOOR:g} at delta = "
+                       f"{matrix.delta:.3g}")
+            raise PipelineError("invert", f"no grid point was probed successfully: {why}")
 
     return RunArtifacts(curve=curve, assembly=assembly, matrix=matrix,
                         indicator=indicator, timings=timings)
@@ -474,7 +480,6 @@ class RunManifest:
     files: dict
     health: dict
     environment: dict
-    status: str = "ok"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -303,8 +303,8 @@ def criterion_7_morozov():
         factors = inversion.svd(a)
         phi = rng.standard_normal(j) + 1j * rng.standard_normal(j)
         delta = float(rng.uniform(0.01, 0.5) * factors.sigma.max())
-        b = factors.u.conj().T @ phi
-        alpha = inversion.morozov_alpha(factors, b, delta)
+        b2 = np.abs(factors.u.conj().T @ phi) ** 2
+        alpha = float(inversion.morozov_alphas(factors.sigma, b2[:, None], delta)[0][0])
         g = inversion.tikhonov_solve(factors, phi, alpha)
         residual_sq = float(np.linalg.norm(a @ g - phi) ** 2)
         target_sq = float(delta ** 2 * np.linalg.norm(g) ** 2)
@@ -315,11 +315,8 @@ def criterion_7_morozov():
         s = float(rng.uniform(0.1, 10.0))
         b1 = rng.standard_normal() + 1j * rng.standard_normal()
         delta = float(rng.uniform(0.01, 1.0))
-        factors = inversion.SvdFactors(
-            u=np.eye(1, dtype=complex), sigma=np.array([s]),
-            vh=np.eye(1, dtype=complex),
-        )
-        alpha = inversion.morozov_alpha(factors, np.array([b1]), delta)
+        b2 = np.abs(np.array([[b1]])) ** 2
+        alpha = float(inversion.morozov_alphas(np.array([s]), b2, delta)[0][0])
         closed_worst = max(closed_worst, abs(alpha - delta * s) / (delta * s))
     return (worst < 1e-6 and closed_worst < 1e-12,
             {"identity_worst": worst, "closed_form_worst": closed_worst})

@@ -9,8 +9,9 @@ cosine sum for the Kress log weights, np.savetxt for the CSV text, the
 explicit formulas of the scatterer curves, the elementwise
 broadcast formula of the Green's function, the Kress self block as it
 was assembled from separate j0 and y0 arrays, the scattered field summed
-into one zero array by masked read-modify-write, and the point-scatterer
-coefficients from green2d at a rim point.
+into one zero array by masked read-modify-write, the point-scatterer
+coefficients from green2d at a rim point, and the indicator mask and
+reciprocal as indicator_map built them from the flat values.
 Expected values frozen in the tests were produced by these routines.
 """
 
@@ -190,6 +191,19 @@ def savetxt_csv(path, columns, header: str, fmt="%.17g") -> None:
     with open(path, "w", newline="\n") as fh:
         np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
                    delimiter=",", header=header, comments="")
+
+
+def mask_and_reciprocal_flat(values: np.ndarray):
+    """(values > 0, min-max normalized 1/values on that mask and 0 off
+    it), computed on the flattened values and reshaped."""
+    flat = values.ravel()
+    reciprocal = np.zeros(len(flat))
+    valid = flat > 0
+    if valid.any():
+        rec = 1.0 / flat[valid]
+        lo, hi = float(rec.min()), float(rec.max())
+        reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
+    return valid.reshape(values.shape), reciprocal.reshape(values.shape)
 
 
 def kress_weights_cosine_sum(n: int) -> np.ndarray:

@@ -34,6 +34,11 @@ from oracles import (
 FIRST_J0_ZERO = 2.404825557695773
 
 
+def system_matrix(system):
+    """The unfactored matrix of an assembled system."""
+    return forward._system_matrix(system.boundaries, system.ctx)
+
+
 @pytest.fixture(scope="module")
 def circle_system(ctx):
     curve = BoundaryCurve(kind="circle", params=(0.25,))
@@ -49,7 +54,7 @@ def kite_system(ctx):
 class TestAssembly:
     def test_matrix_symmetric(self, circle_system, kite_system):
         for system in (circle_system, kite_system):
-            m = system.matrix
+            m = system_matrix(system)
             assert np.linalg.norm(m - m.T) / np.linalg.norm(m) < 1e-10
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -59,8 +64,24 @@ class TestAssembly:
         BoundaryCurve(kind="circle", params=(0.25,)),
     ], ids=["kite", "ellipse", "circle"])
     def test_matrix_bitwise_symmetric(self, ctx, curve, n):
-        m = assemble_single_layer(discretize(curve, n), ctx).matrix
+        # assemble_single_layer factorizes the transpose in place, so it
+        # depends on this
+        m = forward._system_matrix((discretize(curve, n),), ctx)
         assert np.array_equal(m, m.T)
+
+    KITE = BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5)
+    TWO_CIRCLES = (BoundaryCurve(kind="circle", params=(0.2,), center=(-1.5, 0.0)),
+                   BoundaryCurve(kind="circle", params=(0.3,), center=(1.5, 0.5)))
+
+    @pytest.mark.parametrize("curves, n", [
+        ((KITE,), 64), ((KITE,), 256), ((KITE,), 1024), (TWO_CIRCLES, 64),
+    ], ids=["kite-64", "kite-256", "kite-1024", "two-circles-64"])
+    def test_lu_equals_lu_of_the_matrix_bitwise(self, ctx, curves, n):
+        system = assemble_single_layer([discretize(c, n) for c in curves], ctx)
+        lu, piv = scipy.linalg.lu_factor(system_matrix(system))
+        assert system.size == n * len(curves)
+        assert system.lu[0].tobytes() == lu.tobytes()
+        np.testing.assert_array_equal(system.lu[1], piv)
 
     @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024, 2048])
     def test_kress_column_matches_cosine_sum(self, n):
@@ -98,8 +119,9 @@ class TestAssembly:
         assert peak <= 4.1 * n * n * 8
 
     def test_assembly_peak_memory(self, ctx):
-        # the complex matrix and its LU factors are 4 n^2 float64 values;
-        # the self block's n x n temporaries must stay within 3 more
+        # the complex matrix, factorized in place, is 2 n^2 float64 values;
+        # the self block's n x n temporaries and the 1-norm's absolute
+        # values must stay within 5 more
         n = 512
         boundary = discretize(BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5), n)
         tracemalloc.start()
@@ -111,6 +133,21 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 7 * n * n * 8
 
+    def test_system_retains_only_its_lu(self, ctx):
+        # the LU factors are 2 n^2 float64 values; the pivots and the
+        # boundary's nodes and speeds are O(n)
+        n = 512
+        boundary = discretize(BoundaryCurve(kind="kite", center=(2.0, 2.0), scale=0.5), n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            system = assemble_single_layer(boundary, ctx)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert system.size == n
+        assert retained <= 2 * n * n * 8 + 64 * n
+
     def test_condition_estimate_benign(self, circle_system):
         assert circle_system.condition_estimate < 1e4
 
@@ -118,7 +155,7 @@ class TestAssembly:
         # gecon's estimate is a lower bound of the 1-norm condition number,
         # up to the rounding of the explicit inverse (1e-12 relative)
         for system in (circle_system, kite_system):
-            exact = np.linalg.cond(system.matrix, 1)
+            exact = np.linalg.cond(system_matrix(system), 1)
             assert exact / 10.0 <= system.condition_estimate <= exact * (1.0 + 1e-12)
 
     def test_resonance_warning(self, ctx):
@@ -147,7 +184,7 @@ class TestSolve:
         y = np.array([5.0, 0.0])
         charges = solve_charges(kite_system, y)[:, 0]
         rhs = -green2d(ctx, kite_system.nodes, y)[:, 0]
-        resid = kite_system.matrix @ charges - rhs
+        resid = system_matrix(kite_system) @ charges - rhs
         assert np.abs(resid).max() < 1e-8 * np.abs(rhs).max()
 
     def test_batch_columns_match_single_source_solves(self, kite_system):
@@ -423,7 +460,7 @@ class TestMultipleScatterers:
             BoundaryCurve(kind="circle", params=(0.3,), center=(1.5, 0.5)),
         ]
         system = assemble_single_layer([discretize(c, 64) for c in curves], ctx)
-        m = system.matrix
+        m = system_matrix(system)
         assert np.array_equal(m, m.T)
         a, b = np.array([0.0, 3.0]), np.array([3.0, -2.0])
         assert total_field_matrix(system, a, b)[0, 0] == pytest.approx(

@@ -8,10 +8,9 @@ from passivelsm import acquisition, geometry, inversion, pipeline
 from passivelsm.geometry import circle_points
 from passivelsm.inversion import (
     GridSpec,
-    MorozovNoRootError,
     SvdFactors,
     indicator_map,
-    morozov_alpha,
+    morozov_alphas,
     rhs_vectors,
     svd,
     tikhonov_solve,
@@ -21,11 +20,17 @@ from passivelsm.inversion import (
 )
 from passivelsm.specfun import SingularityError, green2d, hankel1_orders
 
-from oracles import singular_values_power_iteration
+from oracles import mask_and_reciprocal_flat, singular_values_power_iteration
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def one_probe_alpha(factors, b, delta):
+    """Morozov's alpha for one probe's coefficients b = U* phi_z, a batch of one."""
+    b2 = np.abs(np.asarray(b))[:, None] ** 2
+    return float(morozov_alphas(factors.sigma, b2, delta)[0][0])
 
 
 def make_field_matrix(entries, receivers, delta=0.0):
@@ -128,7 +133,7 @@ class TestMorozov:
             probed = cfg.grid_spec().points()[art.indicator.mask.ravel()]
             zs = probed[rng.choice(len(probed), 48, replace=False)]
             b2 = np.abs(f.u.conj().T @ rhs_vectors(art.matrix.receivers, zs, cfg.ctx)) ** 2
-            alpha, passes = inversion._morozov_many(f.sigma, b2, art.matrix.delta)
+            alpha, passes = inversion.morozov_alphas(f.sigma, b2, art.matrix.delta)
             assert 1 <= passes <= inversion.MOROZOV_MAX_PASSES
             # Newton from the bracket's secant converges in a few passes over
             # the whole map; falling back to bisection would take about 40
@@ -146,14 +151,14 @@ class TestMorozov:
             [0.0, 0.0, 1.0, 0.0, 1.0],
             [0.0, 0.0, 0.0, 1.0, 1e-6],
         ])  # zero, top singular vector only, range only, null space only, mixed
-        alpha, passes = inversion._morozov_many(sigma, b2, delta)
+        alpha, passes = inversion.morozov_alphas(sigma, b2, delta)
         assert passes <= inversion.MOROZOV_MAX_PASSES
         np.testing.assert_array_equal(np.isfinite(alpha), [False, True, True, False, True])
         assert alpha[1] == pytest.approx(delta * sigma[0], rel=1e-12)
         for c in (2, 4):
             assert alpha[c] == pytest.approx(brentq_alpha(sigma, b2[:, c], delta), rel=1e-12)
         # J = 1: the bracket is the one point delta * sigma
-        alpha, _ = inversion._morozov_many(np.array([2.0]), np.array([[0.0, 4.0]]), 0.05)
+        alpha, _ = inversion.morozov_alphas(np.array([2.0]), np.array([[0.0, 4.0]]), 0.05)
         assert alpha[0] == np.inf
         assert alpha[1] == pytest.approx(0.1, rel=1e-12)
 
@@ -169,16 +174,15 @@ class TestMorozov:
         b[:8, null] = 0.0
         b[8:, solvable] = 0.0
         b2 = np.abs(b) ** 2
-        alpha, passes = inversion._morozov_many(sigma, b2, delta)
+        alpha, passes = inversion.morozov_alphas(sigma, b2, delta)
         gnorm = inversion._tikhonov_norms(sigma, b2, alpha)
         assert passes >= 1
         assert np.isinf(alpha[null]).all()
         np.testing.assert_array_equal(gnorm[null], 0.0)
         for c in null:
-            with pytest.raises(MorozovNoRootError):
-                morozov_alpha(factors, b[:, c], delta)
+            assert one_probe_alpha(factors, b[:, c], delta) == np.inf
         for c in solvable:
-            assert alpha[c] == pytest.approx(morozov_alpha(factors, b[:, c], delta),
+            assert alpha[c] == pytest.approx(one_probe_alpha(factors, b[:, c], delta),
                                              rel=1e-12)
             assert gnorm[c] > 0
 
@@ -190,14 +194,14 @@ class TestMorozov:
             b = random_complex(rng, 1)
             f = SvdFactors(u=np.eye(1, dtype=complex), sigma=np.array([s]),
                            vh=np.eye(1, dtype=complex))
-            alpha = morozov_alpha(f, b, delta)
+            alpha = one_probe_alpha(f, b, delta)
             assert alpha == pytest.approx(delta * s, rel=1e-12)
         # data on the top singular vector only: the root is the bracket's top
         for _ in range(25):
             f = svd(random_complex(rng, (int(rng.integers(2, 30)),) * 2))
             delta = float(rng.uniform(1e-3, 2.0))
             b = f.u.conj().T @ (f.u[:, 0] * random_complex(rng, 1))
-            alpha = morozov_alpha(f, b, delta)
+            alpha = one_probe_alpha(f, b, delta)
             assert alpha == pytest.approx(delta * f.sigma[0], rel=1e-12)
 
     def test_alpha_vanishes_with_delta(self):
@@ -206,7 +210,7 @@ class TestMorozov:
         f = svd(a)
         phi = random_complex(rng, 6)
         b = f.u.conj().T @ phi
-        alphas = [morozov_alpha(f, b, d) for d in (1e-2, 1e-5, 1e-8)]
+        alphas = [one_probe_alpha(f, b, d) for d in (1e-2, 1e-5, 1e-8)]
         assert alphas[0] > alphas[1] > alphas[2]
         assert alphas[2] < 1e-6
 
@@ -218,7 +222,7 @@ class TestMorozov:
             f = svd(a)
             phi = random_complex(rng, n)
             delta = float(rng.uniform(0.01, 0.5)) * float(f.sigma.max())
-            alpha = morozov_alpha(f, f.u.conj().T @ phi, delta)
+            alpha = one_probe_alpha(f, f.u.conj().T @ phi, delta)
             g = tikhonov_solve(f, phi, alpha)
             lhs = np.linalg.norm(a @ g - phi) ** 2
             rhs = delta ** 2 * np.linalg.norm(g) ** 2
@@ -226,13 +230,13 @@ class TestMorozov:
 
     def test_no_root_for_zero_matrix(self):
         f = svd(np.zeros((4, 4), dtype=complex))
-        with pytest.raises(MorozovNoRootError):
-            morozov_alpha(f, np.ones(4, dtype=complex), 0.1)
+        assert one_probe_alpha(f, np.ones(4, dtype=complex), 0.1) == np.inf
 
-    def test_requires_positive_delta(self):
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_no_root_without_positive_delta(self, delta):
         f = svd(np.eye(3, dtype=complex))
-        with pytest.raises(ValueError):
-            morozov_alpha(f, np.ones(3, dtype=complex), 0.0)
+        alpha, passes = morozov_alphas(f.sigma, np.ones((3, 2)), delta)
+        assert np.isinf(alpha).all() and passes == 0
 
 
 def tikhonov_norms(f, phi, alpha):
@@ -290,7 +294,7 @@ class TestProbePoint:
         f = svd(a)
         phi = random_complex(rng, 12)
         delta = 0.05 * float(f.sigma.max())
-        alpha = morozov_alpha(f, f.u.conj().T @ phi, delta)
+        alpha = one_probe_alpha(f, f.u.conj().T @ phi, delta)
         g_norm, residual = tikhonov_norms(f, phi, alpha)
         assert abs(residual ** 2 - delta ** 2 * g_norm ** 2) <= (
             1e-6 * delta ** 2 * g_norm ** 2
@@ -356,6 +360,41 @@ class TestIndicatorMap:
         assert imap.reciprocal[valid].min() == pytest.approx(0.0, abs=1e-15)
         assert imap.reciprocal[valid].max() == pytest.approx(1.0, abs=1e-15)
 
+    def test_mask_and_reciprocal_match_flat_formula_bitwise(self, preset_runs):
+        for _, art in preset_runs.values():
+            imap = art.indicator
+            mask, reciprocal = mask_and_reciprocal_flat(imap.values)
+            np.testing.assert_array_equal(imap.mask, mask)
+            assert imap.reciprocal.tobytes() == reciprocal.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        np.zeros((3, 4)), np.full((3, 4), 2.5), np.array([[0.0, 1.0, -0.0], [4.0, 0.0, 0.5]]),
+    ], ids=["empty", "flat", "mixed"])
+    def test_mask_and_reciprocal_of_small_maps(self, values):
+        stats = inversion.MorozovStats(probed=0, unsolvable=0, alpha_min=None,
+                                       alpha_median=None, alpha_max=None, newton_passes=0)
+        imap = inversion.IndicatorMap(GridSpec(0.0, 1.0, 0.0, 1.0, *values.shape),
+                                      values, stats)
+        mask, reciprocal = mask_and_reciprocal_flat(values)
+        np.testing.assert_array_equal(imap.mask, mask)
+        assert imap.reciprocal.tobytes() == reciprocal.tobytes()
+
+    def test_map_retains_only_its_values(self, ctx):
+        # 8 B per cell of values; the grid and the Morozov stats are O(1)
+        rng = np.random.default_rng(10)
+        matrix = make_field_matrix(random_complex(rng, (8, 8)), circle_points(5.0, 8),
+                                   delta=0.03)
+        grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 300, 300)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            imap = indicator_map(matrix, grid, ctx)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert imap.morozov.probed == 300 * 300
+        assert retained <= 8 * 300 * 300 + 4096
+
     @pytest.mark.parametrize("scale, overflows", [(1e76, False), (1e77, True),
                                                   (1e100, True), (1e160, True)])
     def test_rejects_noise_that_overflows_discrepancy_arithmetic(self, ctx, scale,
@@ -387,7 +426,7 @@ class TestIndicatorMap:
         f = svd(matrix)
         for idx, z in enumerate(grid.points()):
             phi = rhs_vectors(receivers, z, ctx)[:, 0]
-            alpha = morozov_alpha(f, f.u.conj().T @ phi, 0.03)
+            alpha = one_probe_alpha(f, f.u.conj().T @ phi, 0.03)
             g_norm = np.linalg.norm(tikhonov_solve(f, phi, alpha))
             ix, iy = np.unravel_index(idx, (5, 5))
             assert imap.values[ix, iy] == pytest.approx(g_norm, rel=1e-9)
@@ -448,7 +487,7 @@ class TestIndicatorBlocks:
     def test_one_slope_pass_per_newton_pass(self, preset_runs, monkeypatch):
         """The no-root test at ALPHA_FLOOR makes no J x block pass of its own."""
         cfg, art = preset_runs["kite-C"]
-        slope, solve = inversion._discrepancy_slope, inversion._morozov_many
+        slope, solve = inversion._discrepancy_slope, inversion.morozov_alphas
         slope_calls, blocks = [], []
 
         def slope_spy(*args):
@@ -462,7 +501,7 @@ class TestIndicatorBlocks:
             return alpha, passes
 
         monkeypatch.setattr(inversion, "_discrepancy_slope", slope_spy)
-        monkeypatch.setattr(inversion, "_morozov_many", solve_spy)
+        monkeypatch.setattr(inversion, "morozov_alphas", solve_spy)
         imap = indicator_map(art.matrix, cfg.grid_spec(), cfg.ctx,
                              mask_radius=cfg.mask_radius)
         block = inversion.MOROZOV_BLOCK // art.matrix.size
@@ -488,7 +527,7 @@ class TestIndicatorBlocks:
         for start in range(0, len(zs), 512):
             b2 = np.abs(uh @ rhs_vectors(matrix.receivers, zs[start:start + 512], cfg.ctx))
             b2 *= b2
-            alpha, _ = inversion._morozov_many(f.sigma, b2, matrix.delta)
+            alpha, _ = inversion.morozov_alphas(f.sigma, b2, matrix.delta)
             gnorm.append(inversion._tikhonov_norms(f.sigma, b2, alpha))
         assert imap.values[imap.mask].tobytes() == np.concatenate(gnorm).tobytes()
 
@@ -498,7 +537,7 @@ class TestIndicatorBlocks:
         j = art.matrix.size
         # 15 x 239 = 3585 = 7 * 512 + 1 probes, all well inside the receivers
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 15, 239)
-        solve = inversion._morozov_many
+        solve = inversion.morozov_alphas
 
         def streamed(block):
             alphas = []
@@ -510,7 +549,7 @@ class TestIndicatorBlocks:
 
             # MOROZOV_BLOCK counts J x probe entries
             monkeypatch.setattr(inversion, "MOROZOV_BLOCK", block * j)
-            monkeypatch.setattr(inversion, "_morozov_many", spy)
+            monkeypatch.setattr(inversion, "morozov_alphas", spy)
             imap = indicator_map(art.matrix, grid, cfg.ctx)
             assert len(alphas) == -(-imap.morozov.probed // block)
             return imap, np.concatenate(alphas)

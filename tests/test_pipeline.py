@@ -361,6 +361,15 @@ class TestExecute:
         with pytest.raises(PipelineError, match="no grid point was probed") as err:
             pipeline.execute(tiny_config(**overrides))
         assert err.value.stage == "invert"
+        assert str(err.value).endswith("clear of the receivers")
+
+    def test_noise_below_every_morozov_root_fails_in_invert_stage(self):
+        cfg = tiny_config(noise_amplitude=1e-300)
+        with pytest.raises(PipelineError, match=(
+                r"no grid point was probed successfully: (\d+) of its \1 probes have no "
+                r"Morozov root above ALPHA_FLOOR = 1e-30 at delta = \d")) as err:
+            pipeline.execute(cfg)
+        assert err.value.stage == "invert"
 
     @pytest.mark.parametrize("key, value", [
         ("grid.nx", "0"), ("grid.nx", "-1"), ("grid.ny", "0"), ("grid.x_min", "-inf"),
@@ -474,7 +483,6 @@ class TestRun:
             assert (tmp_path / name).exists()
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["version"] == pipeline.VERSION
-        assert data["status"] == "ok"
         assert data["delta"] == manifest.delta > 0
         assert set(data["files"]) == set(pipeline.OUTPUT_FILES)
         for name, digest in data["files"].items():

@@ -31,16 +31,14 @@ def random_matrix(j, seed=0):
 
 
 def masked_map(nx, ny, seed=0):
-    """A map with values and reciprocal 0 on its masked-out cells."""
+    """A map with values 0 on its masked-out cells."""
     rng = np.random.default_rng(seed)
     grid = GridSpec(-6.1, 5.3, -4.7, 6.9, nx, ny)
     mask = rng.random((nx, ny)) > 0.3
     values = np.where(mask, rng.uniform(1e-3, 50.0, (nx, ny)), 0.0)
-    reciprocal = np.where(mask, rng.random((nx, ny)), 0.0)
     stats = MorozovStats(probed=int(mask.sum()), unsolvable=0, alpha_min=None,
                          alpha_median=None, alpha_max=None, newton_passes=0)
-    return IndicatorMap(grid=grid, values=values, reciprocal=reciprocal, mask=mask,
-                        morozov=stats)
+    return IndicatorMap(grid=grid, values=values, morozov=stats)
 
 
 def traced_peak(fn):
