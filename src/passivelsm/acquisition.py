@@ -95,7 +95,6 @@ def near_field_matrix(receivers: PointSet, model) -> FieldMatrix:
     so in the single-layer discretization).
     """
     pts = receivers.points
-    model.check_clearance(pts, what="receiver")
     return FieldMatrix(model.scattered(pts, pts), NEAR_FIELD, receivers, model.ctx.k)
 
 
@@ -116,7 +115,6 @@ def _correlation_matrix(kind, receivers: PointSet, sources: PointSet,
     gram(u) carries the kind's conjugation convention.  u is freed once
     the Gram product exists, which is scaled and shifted in place.
     """
-    model.check_clearance(receivers.points, what="receiver")
     entries = gram(total_field_matrix(model, receivers.points, sources.points))
     entries *= prefactor
     entries -= imaginary_bracket(model.ctx, receivers)

@@ -13,9 +13,9 @@ the matrix exactly symmetric and field evaluation a plain weighted sum.
 
 Both pipeline forward models, this system and the small-obstacle
 (Born-type, no multiple scattering) point-scatterer model, answer
-`scattered(points, sources)`, the (P, S) matrix of u_s, and raise
-GeometryError from `check_clearance(points, what)`.  The Mie series for
-a circle is an independent reference for validation.
+`scattered(points, sources)`, the (P, S) matrix of u_s, which raises
+GeometryError for a point or source that is not clear of the scatterers.
+The Mie series for a circle is an independent reference for validation.
 """
 
 from __future__ import annotations
@@ -127,11 +127,14 @@ class SingleLayerSystem:
         return sum(b.n for b in self.boundaries)
 
     def scattered(self, points, sources) -> np.ndarray:
-        """u_s at every point for every source, shape (P, S)."""
-        return scattered_matrix(self, solve_charges(self, sources), points)
-
-    def check_clearance(self, points, what="point") -> None:
-        require_exterior(self, points, what)
+        """u_s at every point for every source, shape (P, S); a bad point
+        is reported before a bad source."""
+        try:
+            charges = solve_charges(self, sources)
+        except GeometryError:
+            require_exterior(self, points, what="receiver")
+            raise
+        return scattered_matrix(self, charges, points)
 
 
 def _system_matrix(boundaries: tuple, ctx: WaveContext) -> np.ndarray:
@@ -200,17 +203,21 @@ def assemble_single_layer(
 # ---------------------------------------------------------------------------
 # Solving
 # ---------------------------------------------------------------------------
-def require_exterior(system: SingleLayerSystem, points, what="point"):
-    """Raise GeometryError unless every point is clearly outside all scatterers."""
+def require_exterior(system: SingleLayerSystem, points, what="point") -> list:
+    """Raise GeometryError unless every point is clearly outside all
+    scatterers; return each boundary's nearest-vertex distances."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     clearance = MIN_SOURCE_CLEARANCE * system.ctx.wavelength
+    dists = []
     for b in system.boundaries:
         if contains_points(b.curve, pts).any():
             raise GeometryError(f"{what} lies inside a scatterer")
-        if (boundary_distance(b.curve, pts) < clearance).any():
+        dists.append(boundary_distance(b.curve, pts))
+        if (dists[-1] < clearance).any():
             raise GeometryError(
                 f"{what} lies within {MIN_SOURCE_CLEARANCE:g} wavelengths of a boundary"
             )
+    return dists
 
 
 def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
@@ -252,6 +259,7 @@ def scattered_matrix(
 ) -> np.ndarray:
     """u_s at many points for many charge columns: shape (P, S).
 
+    require_exterior refuses points, as receivers, that are not clear.
     u_s(x) = sum_q phi(x, node_q) nu_q, one Green's-function product per
     boundary for all points beyond three node spacings of it.  Nearer
     points use the charges trigonometrically upsampled 2x and 4x (one
@@ -264,10 +272,9 @@ def scattered_matrix(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = None
     offset = 0
-    for bnd in system.boundaries:
+    for bnd, dist in zip(system.boundaries, require_exterior(system, pts, "receiver")):
         nu = charges[offset : offset + bnd.n]
         offset += bnd.n
-        dist = boundary_distance(bnd.curve, pts)
         near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
         if near.any():
             field = np.empty((len(pts), charges.shape[1]), dtype=complex)
@@ -396,6 +403,13 @@ class PointScatterers:
             raise ValueError("point-scatterer centers and radii must be finite")
         if np.any(r <= 0):
             raise ValueError("radii must be positive")
+        apart = scipy.spatial.distance.cdist(c, c)
+        overlap = np.triu(apart <= r[:, None] + r, 1)
+        if overlap.any():
+            l, m = np.argwhere(overlap)[0]
+            raise GeometryError(
+                f"point scatterers {l + 1} and {m + 1} overlap: their centres are "
+                f"{apart[l, m]:g} apart, within the sum {r[l] + r[m]:g} of their radii")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", r)
 
@@ -404,29 +418,15 @@ class PointScatterers:
         return -1.0 / green_kr(self.ctx.k * self.radii)
 
     def scattered(self, points, sources) -> np.ndarray:
-        """u_s at every point for every source, shape (P, S), once
-        check_clearance passes the sources."""
-        self.check_clearance(sources, what="source")
+        """u_s at every point for every source, shape (P, S); GeometryError
+        for a point, then a source, not clear of every circle."""
         c = self.centers
+        clear = self.radii + MIN_SOURCE_CLEARANCE * self.ctx.wavelength
+        for what, pts in (("receiver", points), ("source", sources)):
+            if (scipy.spatial.distance.cdist(np.atleast_2d(pts), c) < clear).any():
+                raise GeometryError(
+                    f"a {what} lies inside or within "
+                    f"{MIN_SOURCE_CLEARANCE:g} wavelengths of a point scatterer")
         phi_xc = green2d(self.ctx, points, c)   # (P, L)
         phi_cy = green2d(self.ctx, c, sources)  # (L, S)
         return (phi_xc * self.reflection_coefficients()) @ phi_cy
-
-    def check_clearance(self, points, what="point") -> None:
-        """GeometryError for a point inside or within MIN_SOURCE_CLEARANCE
-        wavelengths of a circle, then for two circles that overlap or touch."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        c, r = self.centers, self.radii
-        clearance = MIN_SOURCE_CLEARANCE * self.ctx.wavelength
-        if (scipy.spatial.distance.cdist(pts, c) < r + clearance).any():
-            raise GeometryError(
-                f"a {what} lies inside or within "
-                f"{MIN_SOURCE_CLEARANCE:g} wavelengths of a point scatterer")
-        apart = scipy.spatial.distance.cdist(c, c)
-        overlap = apart <= r[:, None] + r
-        np.fill_diagonal(overlap, False)
-        if overlap.any():
-            l, m = np.argwhere(overlap)[0]
-            raise GeometryError(
-                f"point scatterers {l + 1} and {m + 1} overlap: their centres are "
-                f"{apart[l, m]:g} apart, within the sum {r[l] + r[m]:g} of their radii")

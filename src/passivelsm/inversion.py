@@ -287,9 +287,9 @@ def indicator_map(
     pts = grid.points()
     inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2
     # exclude probe points that collide with a receiver
-    dmin = np.full(len(pts), np.inf)
-    dmin[inside] = scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
-    probe = inside & (dmin > SINGULARITY_FACTOR * ctx.wavelength)
+    probe = inside.copy()
+    probe[inside] = (scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
+                     > SINGULARITY_FACTOR * ctx.wavelength)
     zs = pts[probe]
     alpha, gnorm = np.empty(len(zs)), np.empty(len(zs))
     passes = 0

@@ -347,9 +347,8 @@ def _sigma_length(cfg: ExperimentConfig) -> float:
 def _stage(name: str, timings: dict):
     """Time one stage into `timings[name]` and tag what it raises.
 
-    A PipelineError passes through unchanged; a forward.GeometryError is
-    tagged "geometry" (the acquisition builders run the forward model's
-    clearance checks, in "acquire") and any other exception `name`.
+    A PipelineError passes through unchanged, a forward.GeometryError (from
+    a scene or from a model's `scattered`) is tagged "geometry", any other `name`.
     """
     t0 = time.perf_counter()
     try:
@@ -376,6 +375,10 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             raise ValueError(f"receivers.count {cfg.receiver_count} exceeds "
                              f"{inversion.MAX_SVD_SIZE}, the largest matrix size "
                              "the SVD takes")
+        if cfg.matrix_kind not in acquisition.MATRIX_KINDS:
+            raise ValueError(f"unknown matrix.kind {cfg.matrix_kind!r}")
+        if cfg.matrix_kind == acquisition.COVARIANCE and cfg.realizations < 1:
+            raise ValueError(f"matrix.realizations = {cfg.realizations} must be >= 1")
         ctx = cfg.ctx
         receivers = geometry.circle_points(
             cfg.receiver_radius, cfg.receiver_count, beta=0.0,
@@ -420,13 +423,11 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             matrix = acquisition.cross_correlation_matrix(
                 receivers, sources, _sigma_length(cfg), model
             )
-        elif cfg.matrix_kind == acquisition.COVARIANCE:
+        else:
             matrix = acquisition.covariance_matrix(
                 receivers, sources, _sigma_length(cfg), cfg.realizations,
                 cfg.seed, model,
             )
-        else:
-            raise ValueError(f"unknown matrix kind {cfg.matrix_kind!r}")
     # the n x n matrix and its LU are not needed past acquisition
     assembly = _assembly_health(cfg, model)
     del model

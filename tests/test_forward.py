@@ -372,6 +372,12 @@ class TestPointScatterer:
         with pytest.raises(ValueError, match="at least one center"):
             PointScatterers(centers, radii, ctx)
 
+    @pytest.mark.parametrize("centers", [[[0.0, 0.0], [0.01, 0.0]], [[0.0, 0.0], [0.02, 0.0]]],
+                             ids=["overlapping", "touching"])
+    def test_constructor_refuses_circles_that_meet(self, ctx, centers):
+        with pytest.raises(GeometryError, match="point scatterers 1 and 2 overlap"):
+            PointScatterers(centers, [0.01, 0.01], ctx)
+
     def test_symmetry(self, ctx):
         model = PointScatterers([[0.0, 0.0], [1.0, 1.0]], [0.01, 0.02], ctx)
         a = np.array([3.0, 0.5])
@@ -385,7 +391,9 @@ class TestPointScatterer:
         for _ in range(200):
             radii = 10.0 ** rng.uniform(-8.0, 0.0, rng.integers(1, 6))
             ctx = WaveContext(rng.uniform(0.1, 50.0))
-            model = PointScatterers(np.zeros((len(radii), 2)), radii, ctx)
+            centers = np.zeros((len(radii), 2))
+            centers[:, 0] = 3.0 * np.arange(len(radii))  # radii < 1: clear of each other
+            model = PointScatterers(centers, radii, ctx)
             assert (model.reflection_coefficients().tobytes()
                     == reflection_coefficients_at_rim(ctx, model.radii).tobytes())
 
@@ -541,7 +549,7 @@ def model_case(request, ctx, kite_system):
 
 
 class TestModelInterface:
-    """Both forward models answer scattered and check_clearance alike."""
+    """Both forward models answer scattered alike, refusing bad points and sources."""
 
     A = 5.0 * np.column_stack([np.cos(0.1 + np.arange(5) * 1.3),
                                np.sin(0.1 + np.arange(5) * 1.3)])
@@ -570,7 +578,7 @@ class TestModelInterface:
         clean = circle_points(5.0, 8)
         for point in bad[case]:
             with pytest.raises(GeometryError, match=f"receiver lies .*{message}"):
-                model.check_clearance(point, what="receiver")
+                model.scattered(point, self.B)
             receivers = replace(clean, points=np.vstack([clean.points, point]))
             with pytest.raises(GeometryError, match=f"receiver lies .*{message}"):
                 near_field_matrix(receivers, model)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -394,6 +395,20 @@ class TestIndicatorMap:
             tracemalloc.stop()
         assert imap.morozov.probed == 300 * 300
         assert retained <= 8 * 300 * 300 + 4096
+
+    def test_peak_per_cell_of_a_kite_c_map(self, preset_runs, ctx):
+        # the receiver-collision test queries only the probes inside the
+        # mask radius; a whole-grid distance array would add 8 B per cell
+        cfg, art = preset_runs["kite-C"]
+        grid = dataclasses.replace(cfg.grid_spec(), nx=300, ny=300)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            indicator_map(art.matrix, grid, ctx, mask_radius=cfg.mask_radius)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * 300 * 300
 
     @pytest.mark.parametrize("scale, overflows", [(1e76, False), (1e77, True),
                                                   (1e100, True), (1e160, True)])

@@ -226,7 +226,9 @@ class TestExecute:
 
     @pytest.mark.parametrize("overrides, reason", [
         ({"point_centers": ((5.0, 0.0),)}, "a receiver lies inside or within"),
-        ({"point_radius": 10.0}, "a receiver lies inside or within"),
+        # one circle of radius 10 about the origin encloses the receiver circle
+        ({"point_centers": ((0.0, 0.0),), "point_radius": 10.0},
+         "a receiver lies inside or within"),
         # the receiver at (5, 0) is 5e-4 wavelengths from the circle's rim
         ({"point_centers": ((5.0 - 0.01 - 5e-4, 0.0),)}, "a receiver lies inside or within"),
         ({"point_centers": ((0.0, 0.0), (2.0, 2.0), (0.0, 0.0))},
@@ -275,19 +277,24 @@ class TestExecute:
         assert err.value.stage == stage
         assert name in str(err.value) and str(value) in str(err.value)
 
-    def test_each_point_set_is_checked_once(self, monkeypatch):
-        sizes = []
-        original = geometry.contains_points
+    @pytest.mark.parametrize("kind", [acquisition.CROSS_CORRELATION,
+                                      acquisition.NEAR_FIELD, acquisition.COVARIANCE])
+    def test_each_point_set_is_checked_once(self, monkeypatch, kind):
+        # one containment and one distance query per point set; the near
+        # field's receivers are its sources as well
+        sizes = {"contains_points": [], "boundary_distance": []}
+        for name, calls in sizes.items():
+            def counting(curve, points, original=getattr(geometry, name), calls=calls):
+                calls.append(len(points))
+                return original(curve, points)
 
-        def counting(curve, points):
-            sizes.append(len(points))
-            return original(curve, points)
-
-        monkeypatch.setattr(geometry, "contains_points", counting)
-        monkeypatch.setattr(forward, "contains_points", counting)
-        cfg = tiny_config()
+            monkeypatch.setattr(geometry, name, counting)
+            monkeypatch.setattr(forward, name, counting)
+        cfg = tiny_config(matrix_kind=kind, realizations=20)
         pipeline.execute(cfg)
-        assert sorted(sizes) == sorted([cfg.receiver_count, cfg.source_count])
+        count = cfg.receiver_count if kind == acquisition.NEAR_FIELD else cfg.source_count
+        for calls in sizes.values():
+            assert sorted(calls) == sorted([cfg.receiver_count, count])
 
     def test_too_many_receivers_fail_in_geometry_stage(self):
         count = inversion.MAX_SVD_SIZE + 1
@@ -722,6 +729,8 @@ class TestCli:
           "--set", "receivers.count=12", "--set", "sources.count=16"], "geometry"),
         (["--preset", "setup2(50)", "--set", "sources.radius=5",
           "--set", "receivers.count=12"], "geometry"),
+        (["--preset", "kite-C", "--set", "matrix.kind=foo"], "geometry"),
+        (["--preset", "setup2(50)", "--set", "matrix.realizations=0"], "geometry"),
         (["--preset", "torus-N"], "config"),
         (["--preset", "setup2("], "config"),
         (["--config", "missing.ini"], "config"),
@@ -730,7 +739,8 @@ class TestCli:
             "point-radius-inf", "point-center-nan", "point-center-on-receiver",
             "point-radius-encloses-receivers", "point-centers-coincide",
             "negative-mask-radius",
-            "nan-mask-radius", "source-on-receiver", "unknown-preset",
+            "nan-mask-radius", "source-on-receiver", "unknown-matrix-kind",
+            "zero-realizations", "unknown-preset",
             "malformed-preset", "missing-config-file"])
     def test_bad_config_exits_1_with_stage(self, tmp_path, monkeypatch, capsys,
                                            argv, stage):
