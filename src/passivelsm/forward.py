@@ -15,7 +15,12 @@ Both pipeline forward models, this system and the small-obstacle
 (Born-type, no multiple scattering) point-scatterer model, answer
 `scattered(points, sources)`, the (P, S) matrix of u_s, which raises
 GeometryError for a point or source that is not clear of the scatterers.
-The Mie series for a circle is an independent reference for validation.
+The system solves on the receiver side: with E the map from charges to
+u_s at the points, u_s = E M^-1 (-phi(nodes, sources)), and M symmetric
+makes the response E M^-1 one solve with the P columns E^T.  The system
+keeps the response of the last point set, so a new source layout costs
+only its right-hand sides and one product.  The Mie series for a circle
+is an independent reference for validation.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -108,13 +113,16 @@ class SingleLayerSystem:
 
     The matrix acts on node charges; it is symmetric because the kernel
     phi(x, y) is.  An empty boundary list yields the trivial system of a
-    free medium, with lu None.
+    free medium, with lu None.  The system also keeps the receiver
+    response of the last point set `scattered` saw.
     """
 
     boundaries: tuple
     ctx: WaveContext
     lu: object
     condition_estimate: float
+    # at most one entry: (shape, bytes) of a point set -> its _response
+    _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -128,13 +136,20 @@ class SingleLayerSystem:
 
     def scattered(self, points, sources) -> np.ndarray:
         """u_s at every point for every source, shape (P, S); a bad point
-        is reported before a bad source."""
-        try:
-            charges = solve_charges(self, sources)
-        except GeometryError:
-            require_exterior(self, points, what="receiver")
-            raise
-        return scattered_matrix(self, charges, points)
+        is reported before a bad source.
+
+        u_s = E(points) M^-1 (-phi(nodes, sources)): the receiver response
+        E(points) M^-1 is solved once per point set and kept for the last
+        one, so a new source layout costs only its right-hand sides and one
+        product.  Those exact points were checked when it was made.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        key = (pts.shape, pts.tobytes())
+        response = self._responses.get(key)
+        if response is None:
+            self._responses.clear()
+            response = self._responses[key] = _response(self, pts)
+        return response.apply(_rhs(self, sources))
 
 
 def _system_matrix(boundaries: tuple, ctx: WaveContext) -> np.ndarray:
@@ -201,7 +216,7 @@ def assemble_single_layer(
 
 
 # ---------------------------------------------------------------------------
-# Solving
+# Solving and field evaluation
 # ---------------------------------------------------------------------------
 def require_exterior(system: SingleLayerSystem, points, what="point") -> list:
     """Raise GeometryError unless every point is clearly outside all
@@ -220,38 +235,128 @@ def require_exterior(system: SingleLayerSystem, points, what="point") -> list:
     return dists
 
 
+def _rhs(system: SingleLayerSystem, sources) -> np.ndarray:
+    """-phi(nodes, y) for every source y (columns), built column-major (the
+    transpose of phi(y, nodes)) and negated in place."""
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    require_exterior(system, src, what="source")
+    rhs = green2d(system.ctx, src, system.nodes).T
+    np.negative(rhs, out=rhs)
+    return rhs
+
+
 def solve_charges(system: SingleLayerSystem, sources) -> np.ndarray:
     """Charge vectors for one or more point sources (columns).
 
     Solves M nu = -phi(nodes, y) for every source y; returns an array of
-    shape (n_nodes, n_sources).  The right-hand sides are built column-major
-    (the transpose of phi(y, nodes)), negated and solved in place.
+    shape (n_nodes, n_sources).  The right-hand sides are solved in place.
     """
-    src = np.atleast_2d(np.asarray(sources, dtype=float))
-    require_exterior(system, src, what="source")
+    rhs = _rhs(system, sources)
     if system.size == 0:
-        return np.zeros((0, len(src)), dtype=complex)
-    rhs = green2d(system.ctx, src, system.nodes).T
-    np.negative(rhs, out=rhs)
+        return rhs
     return scipy.linalg.lu_solve(system.lu, rhs, overwrite_b=True)
 
 
-# ---------------------------------------------------------------------------
-# Field evaluation
-# ---------------------------------------------------------------------------
-def _trig_resample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Trigonometric interpolation of equispaced periodic samples along axis 0."""
-    n = len(values)
-    m = n * factor
-    spec = np.fft.fft(values, axis=0)
-    out = np.zeros((m,) + values.shape[1:], dtype=complex)
-    h = n // 2
-    out[:h] = spec[:h]
-    if h > 1:
-        out[-(h - 1):] = spec[-(h - 1):]
-    out[h] = 0.5 * spec[h]
-    out[m - h] += 0.5 * spec[h]
-    return np.fft.ifft(out, axis=0) * factor
+def _refine_transpose(values: np.ndarray, factor: int) -> np.ndarray:
+    """The transpose of refining n charges to n * factor, along axis 0.
+
+    Refining is trigonometric interpolation of the n equispaced periodic
+    samples to n * factor, divided by factor: ifft of the zero-padded
+    spectrum, with the Nyquist term split between +n/2 and -n/2.  Both DFT
+    matrices are symmetric, so the transpose is the fft of the folded
+    spectrum of the ifft; it maps (n * factor, ...) to (n, ...).
+    """
+    m = len(values)
+    h = m // factor // 2
+    spec = np.fft.ifft(values, axis=0)
+    folded = np.concatenate([spec[:h + 1], spec[m - h + 1:]])
+    folded[h] = 0.5 * (spec[h] + spec[m - h])
+    return np.fft.fft(folded, axis=0)
+
+
+def _near_rows(ctx: WaveContext, bnd: DiscretizedBoundary, pts, factor: int) -> np.ndarray:
+    """Rows (P, n) taking `bnd`'s charges to u_s at `pts` through the
+    charges refined `factor` times: phi(pts, refined nodes) @ refine."""
+    m = bnd.n * factor
+    nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
+    # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
+    # so the refined charges are the charges on the refined nodes.
+    return _refine_transpose(green2d(ctx, nodes, pts), factor).T
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """A linear map from node vectors to u_s at `points` points.
+
+    The first `points` rows of `matrix` give u_s; each boundary with
+    points within NEAR_BOUNDARY_SPACINGS of it adds, per entry of
+    `checks` (first row, count, closest distance), the rows of those
+    points from its charges refined 4x and then 2x alone.
+    """
+
+    matrix: np.ndarray
+    points: int
+    checks: tuple
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """u_s for the columns of x, shape (points, S); one AccuracyWarning
+        per near boundary reports entries whose 2x and 4x values differ by
+        more than 1e-6 relative (a bound on the 2x error; the 4x value is
+        returned)."""
+        out = self.matrix @ x
+        for start, count, closest in self.checks:
+            fine = out[start:start + count]
+            coarse = out[start + count:start + 2 * count]
+            miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
+            if miss.any():
+                warnings.warn(
+                    f"near-boundary evaluation: 2x and 4x upsampled values of "
+                    f"{int(miss.sum())} entries (closest point at distance "
+                    f"{closest:.3e}) differ by more than "
+                    f"{NEAR_EVAL_TOLERANCE:g} relative; the 4x value is returned",
+                    AccuracyWarning,
+                    stacklevel=3,
+                )
+        return out[:self.points]
+
+
+def _evaluation(system: SingleLayerSystem, points) -> _Evaluation:
+    """The map from charges to u_s at the points, refusing, as receivers,
+    points that are not clear (require_exterior).
+
+    u_s(x) = sum_q phi(x, node_q) nu_q: the Green's-function rows over all
+    nodes, with a boundary's columns replaced, for points within three of
+    its node spacings, by the rows of its charges refined 4x, checked
+    against 2x.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dists = require_exterior(system, pts, "receiver")
+    rows = green2d(system.ctx, pts, system.nodes)
+    blocks, checks = [rows], []
+    offset = 0
+    for bnd, dist in zip(system.boundaries, dists):
+        cols = slice(offset, offset + bnd.n)
+        offset += bnd.n
+        near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
+        if near.any():
+            fine, coarse = np.zeros((2, near.sum(), system.size), dtype=complex)
+            fine[:, cols] = _near_rows(system.ctx, bnd, pts[near], UPSAMPLE_FACTOR)
+            coarse[:, cols] = _near_rows(system.ctx, bnd, pts[near], UPSAMPLE_FACTOR // 2)
+            rows[near, cols] = fine[:, cols]
+            checks.append((sum(map(len, blocks)), len(fine), float(dist[near].min())))
+            blocks += [fine, coarse]
+    matrix = np.concatenate(blocks) if checks else rows
+    return _Evaluation(matrix, len(pts), tuple(checks))
+
+
+def _response(system: SingleLayerSystem, points) -> _Evaluation:
+    """The map from right-hand sides to u_s at the points: E(points) M^-1,
+    from one solve with the columns E^T since M is symmetric."""
+    ev = _evaluation(system, points)
+    if system.size == 0:
+        return ev
+    solved = scipy.linalg.lu_solve(system.lu, ev.matrix.T, overwrite_b=True)
+    return _Evaluation(solved.T, ev.points, ev.checks)
 
 
 def scattered_matrix(
@@ -260,59 +365,10 @@ def scattered_matrix(
     """u_s at many points for many charge columns: shape (P, S).
 
     require_exterior refuses points, as receivers, that are not clear.
-    u_s(x) = sum_q phi(x, node_q) nu_q, one Green's-function product per
-    boundary for all points beyond three node spacings of it.  Nearer
-    points use the charges trigonometrically upsampled 2x and 4x (one
-    product each) and keep the 4x value; one AccuracyWarning per boundary
-    reports entries whose 2x and 4x upsampled values differ by more than
-    1e-6 relative (a bound on the 2x error; the 4x value is returned).
-    A boundary's field is written into its own (P, S) array, which is the
-    result for the first boundary and is added in place for the others.
+    Points within three node spacings of a boundary take its charges
+    trigonometrically refined 4x, with a 2x/4x AccuracyWarning check.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = None
-    offset = 0
-    for bnd, dist in zip(system.boundaries, require_exterior(system, pts, "receiver")):
-        nu = charges[offset : offset + bnd.n]
-        offset += bnd.n
-        near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
-        if near.any():
-            field = np.empty((len(pts), charges.shape[1]), dtype=complex)
-            field[~near] = green2d(system.ctx, pts[~near], bnd.nodes) @ nu
-            field[near] = _near_field(system.ctx, bnd, nu, pts[near], dist[near])
-        else:
-            field = green2d(system.ctx, pts, bnd.nodes) @ nu
-        if out is None:
-            out = field
-        else:
-            out += field
-    if out is None:
-        return np.zeros((len(pts), charges.shape[1]), dtype=complex)
-    return out
-
-
-def _near_field(ctx: WaveContext, bnd: DiscretizedBoundary, nu, pts, dist):
-    """The 4x upsampled field at points near `bnd`, checked against the 2x one."""
-    fields = []
-    for factor in (UPSAMPLE_FACTOR // 2, UPSAMPLE_FACTOR):
-        m = bnd.n * factor
-        nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
-        # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
-        # so the resampled charges over `factor` are the refined charges.
-        g = green2d(ctx, pts, nodes)
-        fields.append(g @ (_trig_resample(nu, factor) / factor))
-    coarse, fine = fields
-    miss = np.abs(fine - coarse) > NEAR_EVAL_TOLERANCE * np.abs(fine)
-    if miss.any():
-        warnings.warn(
-            f"near-boundary evaluation: 2x and 4x upsampled values of "
-            f"{int(miss.sum())} entries (closest point at distance "
-            f"{dist.min():.3e}) differ by more than "
-            f"{NEAR_EVAL_TOLERANCE:g} relative; the 4x value is returned",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    return fine
+    return _evaluation(system, points).apply(charges)
 
 
 def total_field_matrix(model, receivers, sources) -> np.ndarray:

@@ -398,15 +398,19 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             curve = geometry.place_scatterer(
                 builder(), ctx, cfg.scatterer_center, cfg.scatterer_size
             )
+            nodes = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
+            if nodes > forward.MAX_BOUNDARY_NODES:
+                raise ValueError(
+                    f"the boundary needs {nodes} nodes (discretization.nodes = "
+                    f"{cfg.boundary_nodes}, at least {MIN_NODES_PER_WAVELENGTH} per "
+                    f"wavelength), more than the {forward.MAX_BOUNDARY_NODES} a "
+                    "single-layer system may have")
+            if nodes != cfg.boundary_nodes:
+                logger.info("boundary nodes raised from %d to %d", cfg.boundary_nodes, nodes)
 
     with _stage("assemble", timings):
         if model is None:
-            boundaries = ()
-            if curve is not None:
-                n = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
-                if n != cfg.boundary_nodes:
-                    logger.info("boundary nodes raised from %d to %d", cfg.boundary_nodes, n)
-                boundaries = geometry.discretize(curve, n)
+            boundaries = () if curve is None else geometry.discretize(curve, nodes)
             model = forward.assemble_single_layer(boundaries, ctx)
 
     with _stage("acquire", timings):

@@ -23,7 +23,7 @@ import scipy.spatial
 import scipy.spatial.distance
 import scipy.special
 
-from passivelsm.forward import NEAR_BOUNDARY_SPACINGS, _kress_column, _near_field
+from passivelsm.forward import NEAR_BOUNDARY_SPACINGS, _kress_column, _near_rows
 from passivelsm.geometry import boundary_distance
 from passivelsm.seeding import substream
 from passivelsm.specfun import green2d
@@ -100,22 +100,37 @@ def self_block_separate_j0_y0(bnd, k: float) -> np.ndarray:
 
 
 def scattered_matrix_masked(system, charges, points) -> np.ndarray:
-    """u_s summed as a masked read-modify-write of one zero (P, S) array:
-    out[far] += the far product and out[near] += the near field, per
-    boundary."""
+    """u_s as one product of the (P, n) evaluation rows, summed as a masked
+    read-modify-write of one zero array: rows[far, cols] += the Green rows
+    and rows[near, cols] += the 4x near rows, per boundary."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(pts), charges.shape[1]), dtype=complex)
+    rows = np.zeros((len(pts), system.size), dtype=complex)
     offset = 0
     for bnd in system.boundaries:
-        nu = charges[offset:offset + bnd.n]
+        cols = slice(offset, offset + bnd.n)
         offset += bnd.n
-        dist = boundary_distance(bnd.curve, pts)
-        near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
+        near = boundary_distance(bnd.curve, pts) < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
         far = ~near
-        out[far] += green2d(system.ctx, pts[far], bnd.nodes) @ nu
+        rows[far, cols] += green2d(system.ctx, pts[far], bnd.nodes)
         if near.any():
-            out[near] += _near_field(system.ctx, bnd, nu, pts[near], dist[near])
-    return out
+            rows[near, cols] += _near_rows(system.ctx, bnd, pts[near], 4)
+    return rows @ charges
+
+
+def trig_resample(values: np.ndarray, factor: int) -> np.ndarray:
+    """Trigonometric interpolation of n equispaced periodic samples to
+    n * factor along axis 0, times factor: the ifft of the zero-padded
+    spectrum with the Nyquist term split between +n/2 and -n/2."""
+    n = len(values)
+    m = n * factor
+    spec = np.fft.fft(values, axis=0)
+    out = np.zeros((m,) + values.shape[1:], dtype=complex)
+    h = n // 2
+    out[:h] = spec[:h]
+    out[-(h - 1):] = spec[-(h - 1):]
+    out[h] = 0.5 * spec[h]
+    out[m - h] += 0.5 * spec[h]
+    return np.fft.ifft(out, axis=0) * factor
 
 
 def reflection_coefficients_at_rim(ctx, radii) -> np.ndarray:

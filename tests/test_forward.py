@@ -29,6 +29,7 @@ from oracles import (
     reflection_coefficients_at_rim,
     scattered_matrix_masked,
     self_block_separate_j0_y0,
+    trig_resample,
 )
 
 FIRST_J0_ZERO = 2.404825557695773
@@ -433,10 +434,12 @@ class TestInPlace:
         assert solve_charges(kite_system, self.SOURCES).tobytes() == ref.tobytes()
 
     def test_total_field(self, kite_system, ctx):
+        # u = E M^-1 (-phi(nodes, y)) + phi(x, y), E the receivers' Green rows
         receivers = 6.0 * np.column_stack([np.cos(np.arange(9.0)), np.sin(np.arange(9.0))])
-        charges = solve_charges(kite_system, self.SOURCES)
-        ref = (scattered_matrix(kite_system, charges, receivers)
-               + green2d(ctx, receivers, self.SOURCES))
+        response = scipy.linalg.lu_solve(
+            kite_system.lu, green2d(ctx, kite_system.nodes, receivers)).T
+        rhs = -green2d(ctx, self.SOURCES, kite_system.nodes).T
+        ref = response @ rhs + green2d(ctx, receivers, self.SOURCES)
         assert (total_field_matrix(kite_system, receivers, self.SOURCES).tobytes()
                 == ref.tobytes())
 
@@ -459,6 +462,114 @@ class TestInPlace:
         pts = np.array([[-1.5, 0.25], [-1.2, 0.0], [0.0, 2.0], [3.0, -3.0]])
         assert (scattered_matrix(system, charges, pts).tobytes()
                 == scattered_matrix_masked(system, charges, pts).tobytes())
+
+
+class TestReceiverResponse:
+    """scattered applies the kept response E(points) M^-1 to each new set of
+    right-hand sides; a kept response gives the bytes of a new one."""
+
+    SOURCES = np.array([[5.0, 0.0], [0.0, -4.0], [-3.0, 3.0]])
+    OTHER_SOURCES = np.array([[4.0, 4.0], [-6.0, 1.0]])
+
+    @staticmethod
+    def ring(radius, count, phase=0.1):
+        theta = phase + 2 * np.pi * np.arange(count) / count
+        return radius * np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def point_sets(self, circle_system):
+        # far only, and two rings near the circle (1 and 4 node spacings)
+        spacing = circle_system.boundaries[0].max_spacing
+        near = np.vstack([self.ring(0.25 + f * spacing, 7) for f in (1.0, 4.0)])
+        return self.ring(6.0, 9), near
+
+    def test_hit_equals_miss_bitwise(self, circle_system, ctx):
+        far, near = self.point_sets(circle_system)
+        system = replace(circle_system)   # a new system, with nothing kept
+        first = {key: system.scattered(pts, self.SOURCES)
+                 for key, pts in (("far", far), ("near", near))}
+        # alternating point sets, a repeated call, and a fresh system
+        for pts_key, pts in (("far", far), ("far", far), ("near", near), ("far", far)):
+            assert system.scattered(pts, self.SOURCES).tobytes() == first[pts_key].tobytes()
+            fresh = assemble_single_layer(circle_system.boundaries, ctx)
+            assert fresh.scattered(pts, self.SOURCES).tobytes() == first[pts_key].tobytes()
+
+    def test_other_sources_reuse_the_response(self, kite_system):
+        pts = self.ring(6.0, 9)
+        system = replace(kite_system)
+        system.scattered(pts, self.SOURCES)
+        hit = system.scattered(pts, self.OTHER_SOURCES)
+        miss = replace(kite_system).scattered(pts, self.OTHER_SOURCES)
+        assert hit.tobytes() == miss.tobytes()
+        ref = scattered_matrix(kite_system, solve_charges(kite_system, self.OTHER_SOURCES), pts)
+        assert np.abs(hit - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_a_hit_checks_only_the_sources(self, kite_system, monkeypatch):
+        checked = []
+
+        def counting(system, points, what="point", original=forward.require_exterior):
+            checked.append(what)
+            return original(system, points, what)
+
+        monkeypatch.setattr(forward, "require_exterior", counting)
+        system = replace(kite_system)
+        pts = self.ring(6.0, 9)
+        system.scattered(pts, self.SOURCES)
+        assert checked == ["receiver", "source"]
+        system.scattered(pts.copy(), self.OTHER_SOURCES)
+        assert checked == ["receiver", "source", "source"]
+        with pytest.raises(GeometryError, match="receiver lies inside"):
+            system.scattered((2.0, 2.0), self.SOURCES)
+
+    def test_retains_at_most_one_response(self, kite_system):
+        count = 200
+        n = kite_system.size
+        system = replace(kite_system)
+        a, b = self.ring(6.0, count), self.ring(7.0, count)
+        replace(kite_system).scattered(a, self.SOURCES)   # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for pts in (a, b, a):
+                system.scattered(pts, self.SOURCES)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # one (P, n) complex response; the slack (2 % of it) holds its key,
+        # the points' 3.2 KB of bytes, and a few small objects
+        assert retained <= count * n * 16 + 16384
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_refine_transpose_is_the_adjoint(self, n, factor):
+        rng = np.random.default_rng(n + factor)
+        g = rng.standard_normal((n * factor, 3)) + 1j * rng.standard_normal((n * factor, 3))
+        nu = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        lhs = g.T @ (trig_resample(nu, factor) / factor)
+        rhs = forward._refine_transpose(g, factor).T @ nu
+        scale = np.linalg.norm(g) * np.linalg.norm(nu)
+        assert np.abs(lhs - rhs).max() <= 1e-13 * scale
+
+    def test_near_points_match_mie(self, circle_system, ctx):
+        _, near = self.point_sets(circle_system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", forward.AccuracyWarning)
+            us = replace(circle_system).scattered(near, self.SOURCES)
+        ref = np.column_stack([mie_scattered_circle(ctx, 0.25, (0.0, 0.0), near, y)
+                               for y in self.SOURCES])
+        assert np.abs(us - ref).max() < 1e-6 * np.abs(ref).min()
+
+    def test_warns_once_per_boundary_on_every_call(self, ctx):
+        curves = [BoundaryCurve(kind="circle", params=(0.2,), center=(-1.5, 0.0)),
+                  BoundaryCurve(kind="circle", params=(0.3,), center=(1.5, 0.5))]
+        system = assemble_single_layer([discretize(c, 64) for c in curves], ctx)
+        # half a node spacing from each circle, and one far point
+        pts = np.vstack([
+            c.center + (c.params[0] + 0.5 * b.max_spacing) * self.ring(1.0, 5)
+            for c, b in zip(curves, system.boundaries)] + [np.array([[0.0, 4.0]])])
+        for sources in (self.SOURCES, self.OTHER_SOURCES):   # a miss, then a hit
+            with pytest.warns(forward.AccuracyWarning) as record:
+                system.scattered(pts, sources)
+            assert len(record) == 2
 
 
 class TestMultipleScatterers:

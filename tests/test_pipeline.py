@@ -666,8 +666,9 @@ class TestCli:
         assert err.startswith("error: [noise]") and "noise.amplitude > 0" in err
 
     @pytest.mark.parametrize("setting, nodes", [
-        ("scatterer.size=100", 16384), ("discretization.nodes=4096", 4096)])
-    def test_too_many_boundary_nodes_fail_in_assemble_stage(self, tmp_path, capsys,
+        ("scatterer.size=100", 16384), ("discretization.nodes=4096", 4096),
+        ("wave.k=300", 4096)])
+    def test_too_many_boundary_nodes_fail_in_geometry_stage(self, tmp_path, capsys,
                                                             setting, nodes):
         tracemalloc.start()
         try:
@@ -678,7 +679,7 @@ class TestCli:
             tracemalloc.stop()
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [assemble] ") and f"needs {nodes} nodes" in err
+        assert err.startswith("error: [geometry] ") and f"needs {nodes} nodes" in err
         # refused before the n x n system exists (268 MB at 4096 nodes)
         assert peak < 16 * 2 ** 20
 
