@@ -15,7 +15,8 @@ The bracket is 2i Im phi = (i/2) J_0(k |x_j - x_m|) entrywise, which is
 finite on the diagonal (J_0(0) = 1 gives i/2), matching the limit value
 of the self-correlation term.  Both correlation kinds are one Gram product
 of receiver fields minus the bracket; the covariance accumulates it over
-blocks of REALIZATION_BLOCK = 128 realizations.
+blocks of REALIZATION_BLOCK = 128 realizations, whose amplitudes come in
+realization order from one (seed, "covariance-noise") stream.
 """
 
 from __future__ import annotations
@@ -153,10 +154,13 @@ def covariance_matrix(
     complex amplitudes n_l = u_l + i v_l, u_l, v_l ~ N(0, |Sigma|/(2L)).
     That per-component variance makes E[n_l conj(n_m)] = (|Sigma|/L)
     delta_lm, so the M -> infinity limit reproduces the quadrature
-    cross-correlation built on the same sources.  Realization r draws
-    from the (seed, "covariance-noise", r) stream, independent of any
-    scheduling; the fields F = u A^T of REALIZATION_BLOCK realizations
-    at a time enter the sum of F F^H.
+    cross-correlation built on the same sources.  The amplitudes come from
+    one (seed, "covariance-noise") stream in realization order: realization
+    r is its normals 2Lr to 2L(r + 1), re and im interleaved per source, so
+    the draws depend on (seed, r) alone, not on the block size, and the
+    first M realizations of a larger M are the same.  The fields
+    F = u A^T of REALIZATION_BLOCK realizations at a time enter the sum of
+    F F^H.
     """
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
@@ -164,14 +168,12 @@ def covariance_matrix(
     std = np.sqrt(sigma_length / (2.0 * count))
 
     def gram(u):
+        rng = substream(seed, "covariance-noise")
         acc = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
         for start in range(0, realizations, REALIZATION_BLOCK):
-            # fill A row by row: stacking per-realization draws adds ~2 MB peak RSS
-            rows = range(start, min(start + REALIZATION_BLOCK, realizations))
-            a = np.empty((len(rows), count), dtype=complex)
-            for i, r in enumerate(rows):
-                g = substream(seed, "covariance-noise", r).standard_normal((2, count))
-                a[i] = g[0] + 1j * g[1]
+            a = np.empty((min(REALIZATION_BLOCK, realizations - start), count),
+                         dtype=complex)
+            rng.standard_normal(out=a.view(float))
             a *= std
             fields = u @ a.T  # U(x_j), a column per realization
             acc += fields @ fields.conj().T

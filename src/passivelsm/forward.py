@@ -274,14 +274,18 @@ def _refine_transpose(values: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.fft(folded, axis=0)
 
 
-def _near_rows(ctx: WaveContext, bnd: DiscretizedBoundary, pts, factor: int) -> np.ndarray:
+def _near_rows(ctx: WaveContext, bnd: DiscretizedBoundary, pts) -> tuple:
     """Rows (P, n) taking `bnd`'s charges to u_s at `pts` through the
-    charges refined `factor` times: phi(pts, refined nodes) @ refine."""
-    m = bnd.n * factor
+    charges refined UPSAMPLE_FACTOR times, then half as many times:
+    phi(pts, refined nodes) @ refine.  The nodes of the half refinement are
+    the even-indexed ones of the full, so one Green block serves both."""
+    m = bnd.n * UPSAMPLE_FACTOR
     nodes = bnd.curve.point(2.0 * np.pi * np.arange(m) / m)
     # nu_j = (2 pi / n) mu(t_j) with mu = psi |x'| smooth and periodic,
     # so the refined charges are the charges on the refined nodes.
-    return _refine_transpose(green2d(ctx, nodes, pts), factor).T
+    phi = green2d(ctx, nodes, pts)
+    return (_refine_transpose(phi, UPSAMPLE_FACTOR).T,
+            _refine_transpose(phi[::2], UPSAMPLE_FACTOR // 2).T)
 
 
 @dataclass(frozen=True)
@@ -340,8 +344,7 @@ def _evaluation(system: SingleLayerSystem, points) -> _Evaluation:
         near = dist < NEAR_BOUNDARY_SPACINGS * bnd.max_spacing
         if near.any():
             fine, coarse = np.zeros((2, near.sum(), system.size), dtype=complex)
-            fine[:, cols] = _near_rows(system.ctx, bnd, pts[near], UPSAMPLE_FACTOR)
-            coarse[:, cols] = _near_rows(system.ctx, bnd, pts[near], UPSAMPLE_FACTOR // 2)
+            fine[:, cols], coarse[:, cols] = _near_rows(system.ctx, bnd, pts[near])
             rows[near, cols] = fine[:, cols]
             checks.append((sum(map(len, blocks)), len(fine), float(dist[near].min())))
             blocks += [fine, coarse]

@@ -330,9 +330,8 @@ def _build_sources(cfg: ExperimentConfig) -> geometry.PointSet:
         )
     if cfg.source_mode != "perturbed":
         raise ValueError(f"unknown source mode {cfg.source_mode!r} (perturbed | uniform)")
-    beta = 0.0 if cfg.matrix_kind == acquisition.COVARIANCE else cfg.source_beta
     return geometry.circle_points(
-        cfg.source_radius, cfg.source_count, beta=beta, seed=cfg.seed,
+        cfg.source_radius, cfg.source_count, beta=cfg.source_beta, seed=cfg.seed,
         arc=cfg.source_arc, role=geometry.ROLE_RANDOM_SOURCE,
     )
 

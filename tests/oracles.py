@@ -113,7 +113,7 @@ def scattered_matrix_masked(system, charges, points) -> np.ndarray:
         far = ~near
         rows[far, cols] += green2d(system.ctx, pts[far], bnd.nodes)
         if near.any():
-            rows[near, cols] += _near_rows(system.ctx, bnd, pts[near], 4)
+            rows[near, cols] += _near_rows(system.ctx, bnd, pts[near])[0]
     return rows @ charges
 
 
@@ -188,14 +188,16 @@ def polygon_contains_even_odd(vertices, points, block: int = 512) -> np.ndarray:
 def covariance_outer_loop(u, k: float, sigma_length: float, realizations: int,
                           seed: int) -> np.ndarray:
     """(2ik/M) sum_r U_r conj(U_r)^T for the (J, L) total field u, one
-    np.outer per realization r with amplitudes drawn from the
-    (seed, "covariance-noise", r) stream; the bracket is not subtracted."""
+    np.outer per realization r, whose amplitudes are the next 2L normals of
+    the one (seed, "covariance-noise") stream, re and im alternating; the
+    bracket is not subtracted."""
     count = u.shape[1]
     std = np.sqrt(sigma_length / (2.0 * count))
+    rng = substream(seed, "covariance-noise")
     acc = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
-    for r in range(realizations):
-        g = substream(seed, "covariance-noise", r).standard_normal((2, count))
-        field = u @ (std * (g[0] + 1j * g[1]))
+    for _ in range(realizations):
+        g = rng.standard_normal(2 * count)
+        field = u @ (std * (g[0::2] + 1j * g[1::2]))
         acc += np.outer(field, np.conj(field))
     return (2j * k / realizations) * acc
 

@@ -235,8 +235,8 @@ class TestCovariance:
 
     @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
     def test_matches_per_realization_loop(self, ctx, kite_system, receivers, m):
-        # the blocked product must feed realization r the draw of its own
-        # (seed, "covariance-noise", r) stream, also across block edges
+        # the blocked product must feed realization r the r-th 2L normals of
+        # the one (seed, "covariance-noise") stream, also across block edges
         sources = make_sources(20, beta=0.3, seed=4)
         cov = covariance_matrix(receivers, sources, SIGMA_LENGTH, m, 7, kite_system)
         u = forward.total_field_matrix(kite_system, receivers.points, sources.points)
@@ -250,6 +250,27 @@ class TestCovariance:
             assert matrix.k == ctx.k and matrix.receivers is receivers
             assert matrix.sources is sources and matrix.realizations == realizations
             assert (matrix.noise_amplitude, matrix.noise_seed, matrix.delta) == (0.0, None, 0.0)
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_draws_do_not_depend_on_the_block(self, monkeypatch, kite_system,
+                                              receivers, block):
+        sources = make_sources(20, beta=0.3, seed=4)
+        ref = covariance_matrix(receivers, sources, SIGMA_LENGTH, 300, 7,
+                                kite_system).entries
+        monkeypatch.setattr(acquisition, "REALIZATION_BLOCK", block)
+        cov = covariance_matrix(receivers, sources, SIGMA_LENGTH, 300, 7, kite_system)
+        assert np.abs(cov.entries - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_substream_per_matrix(self, monkeypatch, kite_system, receivers):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(acquisition, "substream", counted)
+        covariance_matrix(receivers, make_sources(20), SIGMA_LENGTH, 300, 7, kite_system)
+        assert calls == [(7, "covariance-noise")]
 
     def test_single_realization_is_rank_one(self, ctx):
         system = forward.assemble_single_layer((), ctx)

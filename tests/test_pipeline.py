@@ -422,6 +422,17 @@ class TestExecute:
         assert art.matrix.kind == acquisition.COVARIANCE
         assert art.matrix.realizations == 50
 
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.6])
+    def test_covariance_sources_carry_the_config_beta(self, beta):
+        cfg = tiny_config(matrix_kind=acquisition.COVARIANCE, realizations=5,
+                          source_beta=beta)
+        sources = pipeline._build_sources(cfg)
+        assert sources.beta == beta
+        ref = geometry.circle_points(cfg.source_radius, cfg.source_count, beta=beta,
+                                     seed=cfg.seed, role=geometry.ROLE_RANDOM_SOURCE)
+        np.testing.assert_array_equal(sources.points, ref.points)
+        assert pipeline.execute(cfg).matrix.sources.beta == beta
+
     def test_none_scatterer_gives_zero_matrix(self):
         # no scatterer -> N = 0, so the entry-scaled noise is zero too and
         # the noise stage rejects the run before inversion
@@ -602,7 +613,7 @@ class TestRun:
         ({}, "kind=cross-correlation", "L=16,beta=0.1,M="),
         ({"source_mode": "uniform"}, "kind=cross-correlation", "L=16,beta=None,M="),
         ({"matrix_kind": acquisition.COVARIANCE, "realizations": 50}, "kind=covariance",
-         "L=16,beta=0.0,M=50"),
+         "L=16,beta=0.1,M=50"),
     ], ids=["N", "I", "C", "C-uniform", "covariance"])
     def test_matrix_csv_header(self, tmp_path, overrides, head, tail):
         manifest = run(tiny_config(seed=3, grid_nx=8, grid_ny=8, **overrides), tmp_path)
