@@ -14,20 +14,26 @@ Conventions, with receivers x_j, sources z_l on a curve Sigma of length
 The bracket is 2i Im phi = (i/2) J_0(k |x_j - x_m|) entrywise, which is
 finite on the diagonal (J_0(0) = 1 gives i/2), matching the limit value
 of the self-correlation term.  Both correlation kinds are one Gram product
-of receiver fields minus the bracket; the covariance accumulates it over
-blocks of REALIZATION_BLOCK = 128 realizations, whose amplitudes come in
-realization order from one (seed, "covariance-noise") stream.
+of receiver fields minus the bracket.  The fields come SOURCE_BLOCK = 256
+sources at a time: the cross-correlation sums the blocks' Gram products,
+and the covariance fills its (J, L) field from them and accumulates its
+Gram product over blocks of at most REALIZATION_BLOCK = 128 realizations,
+whose amplitudes come in realization order from one (seed,
+"covariance-noise") stream.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.spatial.distance
 import scipy.special
+from scipy.linalg.blas import zherk
 
 from .forward import total_field_matrix
 from .geometry import PointSet
@@ -45,6 +51,8 @@ MATRIX_KINDS = (NEAR_FIELD, IMAGINARY_NEAR_FIELD, CROSS_CORRELATION, COVARIANCE)
 
 # Covariance realizations whose fields enter one matrix product.
 REALIZATION_BLOCK = 128
+# Sources whose fields are held at once; every preset (L <= 200) is one block.
+SOURCE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,14 @@ def imaginary_bracket(ctx: WaveContext, receivers: PointSet) -> np.ndarray:
     """phi - conj(phi) at receiver pairs: (i/2) J_0(k r), i/2 on the diagonal.
 
     Only Im phi is needed, so j0 alone is evaluated, not specfun.green_kr.
+    Each distinct pair is evaluated once, from pdist, and mirrored.
     """
-    r = scipy.spatial.distance.cdist(receivers.points, receivers.points)
-    r *= ctx.k
-    return 0.5j * scipy.special.j0(r, out=r)
+    pairs = scipy.spatial.distance.pdist(receivers.points)
+    pairs *= ctx.k
+    pairs = 0.5j * scipy.special.j0(pairs, out=pairs)
+    bracket = scipy.spatial.distance.squareform(pairs)
+    np.fill_diagonal(bracket, 0.5j)
+    return bracket
 
 
 def near_field_matrix(receivers: PointSet, model) -> FieldMatrix:
@@ -109,14 +121,29 @@ def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
                        matrix.receivers, matrix.k)
 
 
-def _correlation_matrix(kind, receivers: PointSet, sources: PointSet,
-                        model, prefactor, gram, realizations=None):
-    """prefactor * gram(u) - bracket, u the (J, L) total field at the receivers.
+def _field_blocks(model, receivers: PointSet, sources: PointSet):
+    """(slice, u) for SOURCE_BLOCK sources at a time, u the (J, b) total
+    field at the receivers; each block's sources are checked as it comes."""
+    for start in range(0, sources.count, SOURCE_BLOCK):
+        block = slice(start, start + SOURCE_BLOCK)
+        yield block, total_field_matrix(model, receivers.points, sources.points[block])
 
-    gram(u) carries the kind's conjugation convention.  u is freed once
-    the Gram product exists, which is scaled and shifted in place.
-    """
-    entries = gram(total_field_matrix(model, receivers.points, sources.points))
+
+def _total_field(model, receivers: PointSet, sources: PointSet) -> np.ndarray:
+    """The (J, L) total field, filled one source block at a time; a single
+    block is the field itself, with no copy."""
+    blocks = _field_blocks(model, receivers, sources)
+    if sources.count <= SOURCE_BLOCK:
+        return next(blocks)[1]
+    u = np.empty((receivers.count, sources.count), dtype=complex)
+    for block, field in blocks:
+        u[:, block] = field
+    return u
+
+
+def _correlation_matrix(kind, entries, receivers: PointSet, sources: PointSet,
+                        model, prefactor, realizations=None):
+    """prefactor * entries - bracket, scaled and shifted in place."""
     entries *= prefactor
     entries -= imaginary_bracket(model.ctx, receivers)
     return FieldMatrix(entries, kind, receivers, model.ctx.k, sources=sources,
@@ -134,10 +161,13 @@ def cross_correlation_matrix(
     sigma_length is the length |Sigma| of the source curve; the sources
     should surround both receivers and scatterers for the underlying
     identity to hold (a limited-aperture arc degrades it by design).
+    The sum over sources is conj(u_b) u_b^T of each source block in turn.
     """
+    entries = functools.reduce(operator.iadd, (
+        np.conj(u) @ u.T for _, u in _field_blocks(model, receivers, random_sources)))
     prefactor = 2j * model.ctx.k * sigma_length / random_sources.count
-    return _correlation_matrix(CROSS_CORRELATION, receivers, random_sources, model,
-                               prefactor, lambda u: np.conj(u) @ u.T)
+    return _correlation_matrix(CROSS_CORRELATION, entries, receivers, random_sources,
+                               model, prefactor)
 
 
 def covariance_matrix(
@@ -158,29 +188,40 @@ def covariance_matrix(
     one (seed, "covariance-noise") stream in realization order: realization
     r is its normals 2Lr to 2L(r + 1), re and im interleaved per source, so
     the draws depend on (seed, r) alone, not on the block size, and the
-    first M realizations of a larger M are the same.  The fields
-    F = u A^T of REALIZATION_BLOCK realizations at a time enter the sum of
-    F F^H.
+    first M realizations of a larger M are the same.  The (J, L) field u
+    is filled one source block at a time; the fields F = u A^T of up to
+    REALIZATION_BLOCK realizations at a time (fewer above SOURCE_BLOCK
+    sources, so the amplitude block stays within REALIZATION_BLOCK *
+    SOURCE_BLOCK entries) enter the sum of F F^H, one Hermitian rank-k
+    update (zherk) of one triangle each, mirrored once at the end.
     """
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
     count = sources.count
     std = np.sqrt(sigma_length / (2.0 * count))
+    per_block = max(1, min(REALIZATION_BLOCK, REALIZATION_BLOCK * SOURCE_BLOCK // count))
 
     def gram(u):
         rng = substream(seed, "covariance-noise")
-        acc = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
-        for start in range(0, realizations, REALIZATION_BLOCK):
-            a = np.empty((min(REALIZATION_BLOCK, realizations - start), count),
-                         dtype=complex)
+        # Fortran order: zherk(A = F^T, trans=2) adds A^H A = conj(F F^H) to
+        # the upper triangle in place, so acc.T holds F F^H in its lower one
+        acc = np.zeros((len(u), len(u)), dtype=complex, order="F")
+        for start in range(0, realizations, per_block):
+            a = np.empty((min(per_block, realizations - start), count), dtype=complex)
             rng.standard_normal(out=a.view(float))
             a *= std
             fields = u @ a.T  # U(x_j), a column per realization
-            acc += fields @ fields.conj().T
-        return acc
+            zherk(1.0, fields.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
+        # the strict upper triangle of F F^H is conj(acc)'s, the rest acc.T's
+        entries = np.triu(acc, 1)
+        np.conjugate(entries, out=entries)
+        entries += acc.T
+        return entries
 
-    return _correlation_matrix(COVARIANCE, receivers, sources, model,
-                               2j * model.ctx.k / realizations, gram, int(realizations))
+    # u, the sums and the last block are freed before the bracket is built
+    return _correlation_matrix(COVARIANCE, gram(_total_field(model, receivers, sources)),
+                               receivers, sources, model,
+                               2j * model.ctx.k / realizations, int(realizations))
 
 
 def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:

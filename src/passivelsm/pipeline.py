@@ -398,6 +398,8 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 builder(), ctx, cfg.scatterer_center, cfg.scatterer_size
             )
             nodes = max(cfg.boundary_nodes, _required_nodes(curve, ctx))
+            if nodes % 2:
+                raise ValueError(f"discretization.nodes = {nodes} must be even")
             if nodes > forward.MAX_BOUNDARY_NODES:
                 raise ValueError(
                     f"the boundary needs {nodes} nodes (discretization.nodes = "

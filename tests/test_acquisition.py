@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -280,6 +281,86 @@ class TestCovariance:
         statistical = cov.entries + imaginary_bracket(ctx, recv)
         s = np.linalg.svd(statistical, compute_uv=False)
         assert s[1] / s[0] < 1e-12
+
+
+def _traced_peak(build):
+    """Peak traced bytes above the start while `build()` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSourceBlocks:
+    def test_cross_correlation_peak_is_flat_in_sources(self, kite_system, receivers):
+        # past one block, only the previous (J, SOURCE_BLOCK) field and the
+        # J x J running sum and block product are added; the n x L
+        # right-hand sides and the (J, L) field never exist
+        j, block = receivers.count, acquisition.SOURCE_BLOCK
+        cross_correlation_matrix(receivers, make_sources(8), SIGMA_LENGTH, kite_system)
+        one, many = make_sources(block), make_sources(8 * block)
+        peak_one = _traced_peak(lambda: cross_correlation_matrix(
+            receivers, one, SIGMA_LENGTH, kite_system))
+        peak_many = _traced_peak(lambda: cross_correlation_matrix(
+            receivers, many, SIGMA_LENGTH, kite_system))
+        assert peak_many <= peak_one + 16 * j * (block + 2 * j) + 16 * 1024
+
+    def test_covariance_peak_is_its_field_and_fixed_block_terms(self, kite_system,
+                                                                 receivers):
+        # the (J, L) field, 16 J L B, is the only array that grows with L;
+        # on top come one block's build (the C peak at L = SOURCE_BLOCK),
+        # the last block's field and J x J sums
+        j, block = receivers.count, acquisition.SOURCE_BLOCK
+        count = 4 * block
+        cross_correlation_matrix(receivers, make_sources(8), SIGMA_LENGTH, kite_system)
+        one, many = make_sources(block), make_sources(count)
+        peak_one = _traced_peak(lambda: cross_correlation_matrix(
+            receivers, one, SIGMA_LENGTH, kite_system))
+        peak = _traced_peak(lambda: covariance_matrix(
+            receivers, many, SIGMA_LENGTH, 300, 7, kite_system))
+        assert peak <= 16 * j * count + peak_one + 16 * j * (block + 4 * j)
+
+    @pytest.mark.parametrize("kind", ["C", "covariance"])
+    def test_blocks_match_one_block(self, monkeypatch, kite_system, receivers, kind):
+        # 600 sources are three blocks, the last one partial; the covariance
+        # also draws 54 realizations per block instead of 128
+        sources = make_sources(600, beta=0.3, seed=4)
+
+        def build():
+            if kind == "C":
+                return cross_correlation_matrix(receivers, sources, SIGMA_LENGTH,
+                                                 kite_system).entries
+            return covariance_matrix(receivers, sources, SIGMA_LENGTH, 300, 7,
+                                     kite_system).entries
+
+        blocked = build()
+        monkeypatch.setattr(acquisition, "SOURCE_BLOCK", 1000)
+        ref = build()
+        assert np.abs(blocked - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_covariance_frees_its_field_before_the_bracket(self, kite_system):
+        # one block at J = L = 200: the Gram sums take no product temporary,
+        # and the field and the last realization block are gone before the
+        # bracket is built (4.9 J x J complex arrays when they were not)
+        j = 200
+        recv = circle_points(5.0, j, role=geometry.ROLE_RECEIVER)
+        sources = make_sources(j)
+        covariance_matrix(recv, make_sources(8), SIGMA_LENGTH, 8, 1, kite_system)
+        peak = _traced_peak(lambda: covariance_matrix(
+            recv, sources, SIGMA_LENGTH, 200, 1, kite_system))
+        assert peak <= 4.5 * 16 * j * j
+
+    @pytest.mark.parametrize("count", [20, 600])
+    def test_covariance_is_exactly_skew_hermitian(self, kite_system, receivers, count):
+        # the Gram sum is mirrored from one triangle, and both the prefactor
+        # 2ik/M and the bracket are purely imaginary
+        cov = covariance_matrix(receivers, make_sources(count), SIGMA_LENGTH, 300, 7,
+                                kite_system).entries
+        assert cov.flags.c_contiguous
+        assert np.array_equal(cov, -cov.conj().T)
 
 
 class TestAddNoise:

@@ -395,13 +395,22 @@ class TestExecute:
             pipeline.execute(tiny_config(source_mode=mode))
         assert err.value.stage == "geometry"
 
-    @pytest.mark.parametrize("nodes, raised", [(64, 128), (512, None)])
+    @pytest.mark.parametrize("nodes, raised", [(64, 128), (127, 128), (512, None)])
     def test_boundary_nodes_raised_to_density_floor(self, caplog, nodes, raised):
         caplog.set_level(logging.INFO, logger=pipeline.__name__)
         pipeline.execute(tiny_config(boundary_nodes=nodes, grid_nx=8, grid_ny=8))
         lines = [m for m in caplog.messages if m.startswith("boundary nodes raised")]
         assert lines == ([f"boundary nodes raised from {nodes} to {raised}"]
                          if raised else [])
+
+    @pytest.mark.parametrize("nodes", [129, 301])
+    def test_odd_boundary_nodes_fail_in_geometry_stage(self, monkeypatch, nodes):
+        # an odd count above the density floor is refused before assembly
+        monkeypatch.setattr(forward, "assemble_single_layer", None)
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(tiny_config(boundary_nodes=nodes))
+        assert err.value.stage == "geometry"
+        assert f"discretization.nodes = {nodes} must be even" in str(err.value)
 
     def test_zero_noise_fails_in_noise_stage(self):
         cfg = tiny_config(noise_amplitude=0.0)
