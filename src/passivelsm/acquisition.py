@@ -13,20 +13,18 @@ Conventions, with receivers x_j, sources z_l on a curve Sigma of length
 
 The bracket is 2i Im phi = (i/2) J_0(k |x_j - x_m|) entrywise, which is
 finite on the diagonal (J_0(0) = 1 gives i/2), matching the limit value
-of the self-correlation term.  Both correlation kinds are one Gram product
-of receiver fields minus the bracket.  The fields come SOURCE_BLOCK = 256
-sources at a time: the cross-correlation sums the blocks' Gram products,
-and the covariance fills its (J, L) field from them and accumulates its
-Gram product over blocks of at most REALIZATION_BLOCK = 128 realizations,
-whose amplitudes come in realization order from one (seed,
+of the self-correlation term.  Both correlation kinds are one Gram sum
+H = sum conj(f) f^T over (J, b) receiver-field blocks f, minus the bracket.
+The fields come SOURCE_BLOCK = 256 sources at a time: the cross-correlation
+feeds them to the Gram sum, and the covariance keeps them as its (J, L)
+field and feeds the fields of at most REALIZATION_BLOCK = 128 realizations
+at a time, whose amplitudes come in realization order from one (seed,
 "covariance-noise") stream.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -122,23 +120,25 @@ def imaginary_near_field_matrix(matrix: FieldMatrix) -> FieldMatrix:
 
 
 def _field_blocks(model, receivers: PointSet, sources: PointSet):
-    """(slice, u) for SOURCE_BLOCK sources at a time, u the (J, b) total
-    field at the receivers; each block's sources are checked as it comes."""
+    """The (J, b) total field at the receivers of each SOURCE_BLOCK sources
+    in turn; each block's sources are checked as it comes."""
     for start in range(0, sources.count, SOURCE_BLOCK):
-        block = slice(start, start + SOURCE_BLOCK)
-        yield block, total_field_matrix(model, receivers.points, sources.points[block])
+        yield total_field_matrix(model, receivers.points,
+                                 sources.points[start:start + SOURCE_BLOCK])
 
 
-def _total_field(model, receivers: PointSet, sources: PointSet) -> np.ndarray:
-    """The (J, L) total field, filled one source block at a time; a single
-    block is the field itself, with no copy."""
-    blocks = _field_blocks(model, receivers, sources)
-    if sources.count <= SOURCE_BLOCK:
-        return next(blocks)[1]
-    u = np.empty((receivers.count, sources.count), dtype=complex)
-    for block, field in blocks:
-        u[:, block] = field
-    return u
+def _gram(size, fields):
+    """H = sum conj(f) f^T over the (size, b) blocks f, each dropped before
+    the next is made: zherk(A = f^T, trans=2) adds A^H A = conj(f) f^T to
+    the upper triangle of a Fortran-order sum in place, mirrored once."""
+    acc = np.zeros((size, size), dtype=complex, order="F")
+    for f in fields:
+        zherk(1.0, f.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
+        del f
+    gram = np.tril(acc.T, -1)
+    np.conjugate(gram, out=gram)
+    gram += acc
+    return gram
 
 
 def _correlation_matrix(kind, entries, receivers: PointSet, sources: PointSet,
@@ -161,10 +161,9 @@ def cross_correlation_matrix(
     sigma_length is the length |Sigma| of the source curve; the sources
     should surround both receivers and scatterers for the underlying
     identity to hold (a limited-aperture arc degrades it by design).
-    The sum over sources is conj(u_b) u_b^T of each source block in turn.
+    The sum over sources is the Gram sum of the source blocks' fields.
     """
-    entries = functools.reduce(operator.iadd, (
-        np.conj(u) @ u.T for _, u in _field_blocks(model, receivers, random_sources)))
+    entries = _gram(receivers.count, _field_blocks(model, receivers, random_sources))
     prefactor = 2j * model.ctx.k * sigma_length / random_sources.count
     return _correlation_matrix(CROSS_CORRELATION, entries, receivers, random_sources,
                                model, prefactor)
@@ -189,11 +188,10 @@ def covariance_matrix(
     r is its normals 2Lr to 2L(r + 1), re and im interleaved per source, so
     the draws depend on (seed, r) alone, not on the block size, and the
     first M realizations of a larger M are the same.  The (J, L) field u
-    is filled one source block at a time; the fields F = u A^T of up to
-    REALIZATION_BLOCK realizations at a time (fewer above SOURCE_BLOCK
-    sources, so the amplitude block stays within REALIZATION_BLOCK *
-    SOURCE_BLOCK entries) enter the sum of F F^H, one Hermitian rank-k
-    update (zherk) of one triangle each, mirrored once at the end.
+    is kept as its source blocks u_b.  The fields F = sum_b u_b A_b^T of up
+    to REALIZATION_BLOCK realizations at a time (fewer above SOURCE_BLOCK
+    sources, so the amplitude block A stays within REALIZATION_BLOCK *
+    SOURCE_BLOCK entries) enter the Gram sum H, and sum F F^H = conj(H).
     """
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
@@ -201,26 +199,22 @@ def covariance_matrix(
     std = np.sqrt(sigma_length / (2.0 * count))
     per_block = max(1, min(REALIZATION_BLOCK, REALIZATION_BLOCK * SOURCE_BLOCK // count))
 
-    def gram(u):
+    def realization_fields(blocks):
         rng = substream(seed, "covariance-noise")
-        # Fortran order: zherk(A = F^T, trans=2) adds A^H A = conj(F F^H) to
-        # the upper triangle in place, so acc.T holds F F^H in its lower one
-        acc = np.zeros((len(u), len(u)), dtype=complex, order="F")
         for start in range(0, realizations, per_block):
             a = np.empty((min(per_block, realizations - start), count), dtype=complex)
             rng.standard_normal(out=a.view(float))
             a *= std
-            fields = u @ a.T  # U(x_j), a column per realization
-            zherk(1.0, fields.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
-        # the strict upper triangle of F F^H is conj(acc)'s, the rest acc.T's
-        entries = np.triu(acc, 1)
-        np.conjugate(entries, out=entries)
-        entries += acc.T
-        return entries
+            fields = blocks[0] @ a[:, :SOURCE_BLOCK].T  # U(x_j), a column per realization
+            for first in range(SOURCE_BLOCK, count, SOURCE_BLOCK):
+                fields += blocks[first // SOURCE_BLOCK] @ a[:, first:first + SOURCE_BLOCK].T
+            yield fields
 
-    # u, the sums and the last block are freed before the bracket is built
-    return _correlation_matrix(COVARIANCE, gram(_total_field(model, receivers, sources)),
-                               receivers, sources, model,
+    # the field goes with the generator, before the bracket is built
+    entries = _gram(receivers.count,
+                    realization_fields(list(_field_blocks(model, receivers, sources))))
+    np.conjugate(entries, out=entries)
+    return _correlation_matrix(COVARIANCE, entries, receivers, sources, model,
                                2j * model.ctx.k / realizations, int(realizations))
 
 

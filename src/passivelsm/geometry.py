@@ -185,6 +185,8 @@ def _nearest_vertex(curve: BoundaryCurve, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t, vertices, tree = curve._polygon
     dist, idx = tree.query(pts)
+    if not np.isfinite(dist).all():  # its index would be the vertex count
+        raise ValueError("a point lies too far from the curve: its squared distance overflows")
     return pts, vertices[idx], t[idx], dist
 
 
@@ -243,6 +245,8 @@ def _layout_span(radius, count, arc):
         raise ValueError("count must be at least 1")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    if 2.0 * radius > np.sqrt(np.finfo(float).max):
+        raise ValueError(f"radius {radius:g} is too large: squared distances across it overflow")
     if arc is None:
         return 0.0, 2.0 * np.pi
     theta_min, theta_max = float(arc[0]), float(arc[1])

@@ -315,10 +315,11 @@ class RunArtifacts:
 
 
 def _required_nodes(curve: geometry.BoundaryCurve, ctx: WaveContext) -> int:
-    perimeter = geometry.discretize(curve, 256).perimeter
+    with np.errstate(over="ignore"):  # an overflowing perimeter is inf: n stops past the cap
+        perimeter = geometry.discretize(curve, 256).perimeter
     needed = MIN_NODES_PER_WAVELENGTH * perimeter / ctx.wavelength
     n = 32
-    while n < needed:
+    while n < needed and n <= forward.MAX_BOUNDARY_NODES:
         n *= 2
     return n
 
@@ -402,7 +403,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 raise ValueError(f"discretization.nodes = {nodes} must be even")
             if nodes > forward.MAX_BOUNDARY_NODES:
                 raise ValueError(
-                    f"the boundary needs {nodes} nodes (discretization.nodes = "
+                    f"the boundary needs {nodes} nodes or more (discretization.nodes = "
                     f"{cfg.boundary_nodes}, at least {MIN_NODES_PER_WAVELENGTH} per "
                     f"wavelength), more than the {forward.MAX_BOUNDARY_NODES} a "
                     "single-layer system may have")

@@ -243,9 +243,12 @@ class TestUniformPoints:
     lambda **kw: circle_points_uniform(seed=3, **kw),
 ], ids=["perturbed", "uniform"])
 class TestLayoutValidation:
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_bad_radius(self, layout, radius):
-        with pytest.raises(ValueError, match="radius"):
+    # (2 r)^2 overflows at r = 1e160
+    @pytest.mark.parametrize("radius, reason", [
+        (0.0, "positive"), (-1.0, "positive"), (np.nan, "finite"), (np.inf, "finite"),
+        (1e160, "too large")])
+    def test_rejects_bad_radius(self, layout, radius, reason):
+        with pytest.raises(ValueError, match=f"radius .*{reason}"):
             layout(radius=radius, count=8)
 
     @pytest.mark.parametrize("arc", [(2.0, 1.0), (1.0, 1.0), (np.nan, 1.0),
@@ -260,6 +263,14 @@ class TestLayoutValidation:
 
 
 class TestInteriorQueries:
+    @pytest.mark.parametrize("query", [contains_points, boundary_distance])
+    def test_point_whose_squared_distance_overflows_is_refused(self, query):
+        # the k-d tree answers such a point with distance inf and an index
+        # one past the last vertex
+        curve = BoundaryCurve(kind="kite")
+        with pytest.raises(ValueError, match="too far from the curve"):
+            query(curve, [[0.0, 0.0], [1e160, 0.0]])
+
     def test_contains_circle(self):
         curve = BoundaryCurve(kind="circle", params=(1.0,), center=(2.0, 0.0))
         pts = np.array([[2.0, 0.0], [2.9, 0.0], [3.2, 0.0], [0.0, 0.0]])

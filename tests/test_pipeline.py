@@ -685,21 +685,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: [noise]") and "noise.amplitude > 0" in err
 
-    @pytest.mark.parametrize("setting, nodes", [
-        ("scatterer.size=100", 16384), ("discretization.nodes=4096", 4096),
-        ("wave.k=300", 4096)])
+    # the node count doubles from 32 until it suffices or passes 2048; a
+    # perimeter that overflows (scatterer.size=1e155) is infinite
+    @pytest.mark.parametrize("setting", [
+        "scatterer.size=100", "discretization.nodes=4096", "wave.k=300",
+        "scatterer.size=1e155"])
     def test_too_many_boundary_nodes_fail_in_geometry_stage(self, tmp_path, capsys,
-                                                            setting, nodes):
+                                                            setting):
         tracemalloc.start()
         try:
-            rc = cli.main(["run", "--preset", "kite-C", "--out", str(tmp_path),
-                           "--set", setting])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = cli.main(["run", "--preset", "kite-C", "--out", str(tmp_path),
+                               "--set", setting])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 1
+        assert not caught
         err = capsys.readouterr().err
-        assert err.startswith("error: [geometry] ") and f"needs {nodes} nodes" in err
+        assert err.startswith("error: [geometry] ") and "needs 4096 nodes or more" in err
         # refused before the n x n system exists (268 MB at 4096 nodes)
         assert peak < 16 * 2 ** 20
 
@@ -738,6 +743,8 @@ class TestCli:
         (["--preset", "kite-C", "--set", "foo=1"], "config"),
         (["--preset", "kite-C", "--set", "sources.mode=unifrom"], "geometry"),
         (["--preset", "kite-C", "--set", "receivers.radius=0"], "geometry"),
+        (["--preset", "kite-C", "--set", "receivers.radius=1e160"], "geometry"),
+        (["--preset", "kite-C", "--set", "sources.radius=1e160"], "geometry"),
         (["--preset", "point-scatterers", "--set", "scatterer.radius=nan"], "geometry"),
         (["--preset", "point-scatterers", "--set", "scatterer.radius=inf"], "geometry"),
         (["--preset", "point-scatterers", "--set", "scatterer.centers=nan,0"], "geometry"),
@@ -756,7 +763,8 @@ class TestCli:
         (["--preset", "setup2("], "config"),
         (["--config", "missing.ini"], "config"),
     ], ids=["misspelt-key", "unparsable-int", "lone-arc_min", "override-without-key",
-            "unknown-source-mode", "zero-radius", "point-radius-nan",
+            "unknown-source-mode", "zero-radius", "overflowing-receiver-radius",
+            "overflowing-source-radius", "point-radius-nan",
             "point-radius-inf", "point-center-nan", "point-center-on-receiver",
             "point-radius-encloses-receivers", "point-centers-coincide",
             "negative-mask-radius",
