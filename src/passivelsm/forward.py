@@ -203,16 +203,24 @@ def assemble_single_layer(
         cond = float(1.0 / rcond) if rcond > 0 else np.inf
     else:
         cond, lu = 1.0, None
+    logger.debug("assembled single-layer system: n=%d cond=%.3e", ntot, cond)
+    system = SingleLayerSystem(boundaries=boundaries, ctx=ctx, lu=lu, condition_estimate=cond)
+    warn_if_resonant(system)
+    return system
+
+
+def warn_if_resonant(system: SingleLayerSystem) -> None:
+    """Emit ResonanceWarning, for the caller of the function that calls
+    this, when the system's condition estimate exceeds 1e10."""
+    cond = system.condition_estimate
     if cond > RESONANCE_CONDITION_LIMIT:
         warnings.warn(
             f"single-layer system condition {cond:.2e} exceeds "
             f"{RESONANCE_CONDITION_LIMIT:.0e}; k^2 is close to an interior "
             "Dirichlet eigenvalue of a scatterer",
             ResonanceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    logger.debug("assembled single-layer system: n=%d cond=%.3e", ntot, cond)
-    return SingleLayerSystem(boundaries=boundaries, ctx=ctx, lu=lu, condition_estimate=cond)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ directory as
 
 CSV numbers are printed with 17 significant digits so re-runs with one
 BLAS library and thread count are byte-identical.
+
+Runs of one scene in one process share its single-layer system: the
+last one assembled is kept for the next run of the same placed curve,
+node count and k, with its receiver response, and is dropped before
+another scene assembles its own.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 import scipy
 
 from . import BLAS_THREAD_VARIABLES, acquisition, forward, geometry, inversion
-from .specfun import WaveContext
+from .specfun import SINGULARITY_FACTOR, WaveContext
 
 logger = logging.getLogger(__name__)
 
@@ -298,13 +303,18 @@ _CURVE_BUILDERS = {
     "circle": lambda: geometry.BoundaryCurve(kind="circle", params=(1.0,)),
 }
 
+# The last single-layer system assembled, under (placed curve, node count)
+# or None for a free medium, and k: at most one entry.
+_SYSTEMS: dict = {}
+
 
 @dataclass
 class RunArtifacts:
     """In-memory results of one experiment, before any file output.
 
     `assembly` is the manifest's assembly health; the single-layer system
-    itself is freed once the matrix is acquired.
+    itself stays in the module's one-entry memo for the next run of the
+    scene.
     """
 
     curve: Optional[geometry.BoundaryCurve]
@@ -341,6 +351,26 @@ def _sigma_length(cfg: ExperimentConfig) -> float:
     if cfg.source_arc is None:
         return 2.0 * math.pi * cfg.source_radius
     return cfg.source_radius * (cfg.source_arc[1] - cfg.source_arc[0])
+
+
+def _single_layer(boundary: Optional[geometry.DiscretizedBoundary],
+                  ctx: WaveContext) -> forward.SingleLayerSystem:
+    """The system of `boundary` (None for a free medium) at ctx.k.
+
+    The memo's system when it was assembled from the same placed curve,
+    node count and k, which also keeps its receiver response and its
+    curves' polygons; it warns as assembly would.  Otherwise the memo is
+    emptied before the new system is assembled and kept.
+    """
+    key = (None if boundary is None else (boundary.curve, boundary.n), ctx.k)
+    system = _SYSTEMS.get(key)
+    if system is None:
+        _SYSTEMS.clear()
+        system = _SYSTEMS[key] = forward.assemble_single_layer(
+            () if boundary is None else boundary, ctx)
+    else:
+        forward.warn_if_resonant(system)
+    return system
 
 
 @contextmanager
@@ -385,8 +415,15 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             arc=cfg.receiver_arc, role=geometry.ROLE_RECEIVER,
         )
         sources = _build_sources(cfg) if needs_sources else None
+        span = cfg.receiver_radius + max(cfg.receiver_radius,
+                                         cfg.source_radius if needs_sources else 0.0)
+        if span < SINGULARITY_FACTOR * ctx.wavelength:
+            raise ValueError(
+                f"wave.k = {cfg.k:g} is too small: the receivers and sources, at most "
+                f"{span:g} apart, all lie within {SINGULARITY_FACTOR:g} wavelengths "
+                f"({ctx.wavelength:.3g}) of each other, where points count as coincident")
         grid = cfg.grid_spec()
-        model = curve = None
+        model = curve = boundary = None
         if cfg.scatterer_kind == "point-scatterers":
             model = forward.PointScatterers(
                 cfg.point_centers, np.full(len(cfg.point_centers), cfg.point_radius), ctx)
@@ -409,11 +446,22 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                     "single-layer system may have")
             if nodes != cfg.boundary_nodes:
                 logger.info("boundary nodes raised from %d to %d", cfg.boundary_nodes, nodes)
+            boundary = geometry.discretize(curve, nodes)
+            # adjacent nodes stay distinct while float64 coordinates near
+            # them are finer than half the closest spacing
+            grain = float(np.spacing(np.abs(boundary.nodes).max()))
+            closest = float(boundary.weights.min())
+            if 2.0 * grain >= closest:
+                raise ValueError(
+                    f"scatterer.center_x = {cfg.scatterer_center[0]:g}, center_y = "
+                    f"{cfg.scatterer_center[1]:g} with scatterer.size = "
+                    f"{cfg.scatterer_size:g} puts the boundary where float64 coordinates "
+                    f"are {grain:.3g} apart, too coarse to keep its {nodes} nodes "
+                    f"({closest:.3g} apart at the closest) distinct")
 
     with _stage("assemble", timings):
         if model is None:
-            boundaries = () if curve is None else geometry.discretize(curve, nodes)
-            model = forward.assemble_single_layer(boundaries, ctx)
+            model = _single_layer(boundary, ctx)
 
     with _stage("acquire", timings):
         if cfg.matrix_kind in (acquisition.NEAR_FIELD, acquisition.IMAGINARY_NEAR_FIELD):
@@ -434,9 +482,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 receivers, sources, _sigma_length(cfg), cfg.realizations,
                 cfg.seed, model,
             )
-    # the n x n matrix and its LU are not needed past acquisition
     assembly = _assembly_health(cfg, model)
-    del model
 
     with _stage("noise", timings):
         matrix = acquisition.add_noise(matrix, cfg.noise_amplitude, cfg.seed)

@@ -6,8 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from passivelsm import geometry
+from passivelsm import geometry, pipeline
 from passivelsm.specfun import WaveContext
+
+
+@pytest.fixture(autouse=True)
+def no_kept_system():
+    """Each test starts with no single-layer system kept by an earlier run."""
+    pipeline._SYSTEMS.clear()
 
 
 @pytest.fixture(scope="session")

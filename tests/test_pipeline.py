@@ -14,9 +14,39 @@ import weakref
 import numpy as np
 import pytest
 import scipy
+import scipy.special
 
 from passivelsm import acquisition, cli, forward, geometry, inversion, pipeline
 from passivelsm.pipeline import ExperimentConfig, PipelineError, preset, run
+
+
+def count_point_queries(monkeypatch) -> dict:
+    """The point count of every containment and distance query from now on."""
+    sizes = {"contains_points": [], "boundary_distance": []}
+    for name, calls in sizes.items():
+        def counting(curve, points, original=getattr(geometry, name), calls=calls):
+            calls.append(len(points))
+            return original(curve, points)
+
+        monkeypatch.setattr(geometry, name, counting)
+        monkeypatch.setattr(forward, name, counting)
+    return sizes
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """A weak reference to each system assembled from now on, and how many
+    of the earlier ones were alive as each assembly began."""
+    refs, alive = [], []
+
+    def assemble_spy(*args, assemble=forward.assemble_single_layer):
+        alive.append(sum(ref() is not None for ref in refs))
+        system = assemble(*args)
+        refs.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(forward, "assemble_single_layer", assemble_spy)
+    return refs, alive
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -282,19 +312,24 @@ class TestExecute:
     def test_each_point_set_is_checked_once(self, monkeypatch, kind):
         # one containment and one distance query per point set; the near
         # field's receivers are its sources as well
-        sizes = {"contains_points": [], "boundary_distance": []}
-        for name, calls in sizes.items():
-            def counting(curve, points, original=getattr(geometry, name), calls=calls):
-                calls.append(len(points))
-                return original(curve, points)
-
-            monkeypatch.setattr(geometry, name, counting)
-            monkeypatch.setattr(forward, name, counting)
+        sizes = count_point_queries(monkeypatch)
         cfg = tiny_config(matrix_kind=kind, realizations=20)
         pipeline.execute(cfg)
         count = cfg.receiver_count if kind == acquisition.NEAR_FIELD else cfg.source_count
         for calls in sizes.values():
             assert sorted(calls) == sorted([cfg.receiver_count, count])
+
+    @pytest.mark.parametrize("kind", [acquisition.CROSS_CORRELATION,
+                                      acquisition.NEAR_FIELD, acquisition.COVARIANCE])
+    def test_reusing_run_checks_only_its_sources(self, monkeypatch, kind):
+        # the kept receiver response was checked when it was made
+        cfg = tiny_config(matrix_kind=kind, realizations=20)
+        pipeline.execute(cfg)
+        sizes = count_point_queries(monkeypatch)
+        pipeline.execute(dataclasses.replace(cfg, seed=1))
+        count = cfg.receiver_count if kind == acquisition.NEAR_FIELD else cfg.source_count
+        for calls in sizes.values():
+            assert calls == [count]
 
     def test_too_many_receivers_fail_in_geometry_stage(self):
         count = inversion.MAX_SVD_SIZE + 1
@@ -324,25 +359,44 @@ class TestExecute:
             pipeline.execute(tiny_config(noise_amplitude=amplitude))
         assert err.value.stage == "invert"
 
-    def test_system_is_freed_before_noise(self, monkeypatch):
-        """Only the assembly health outlives acquisition, not the n x n system."""
-        refs, alive = [], []
-        assemble, add_noise = forward.assemble_single_layer, acquisition.add_noise
+    def test_another_scene_frees_the_system_before_it_assembles(self, assembled):
+        """The memo keeps one system, which a run of another scene drops
+        before it assembles its own; a run of the same scene assembles none."""
+        refs, alive_at_assembly = assembled
+        alive_after_run = []
+        for center in ((2.0, 2.0), (1.0, -2.0), (1.0, -2.0), (2.0, 2.0)):
+            art = pipeline.execute(tiny_config(scatterer_center=center, grid_nx=8, grid_ny=8))
+            alive_after_run.append(sum(ref() is not None for ref in refs))
+            assert art.assembly["nodes_used"] == 128
+        assert alive_at_assembly == [0, 0, 0]
+        assert alive_after_run == [1, 1, 1, 1]
 
-        def assemble_spy(*args):
-            system = assemble(*args)
-            refs.append(weakref.ref(system))
-            return system
+    @pytest.mark.parametrize("overrides, named", [
+        ({"scatterer_center": (1e150, 2.0)}, "scatterer.center_x = 1e+150"),
+        ({"scatterer_center": (2.0, -1e16)}, "center_y = -1e+16"),
+        # at the preset's centre (2, 2) the float64 grain is 4.4e-16
+        ({"scatterer_size": 1e-14}, "scatterer.size = 1e-14"),
+    ], ids=["far-x", "far-y", "tiny"])
+    def test_unresolved_scatterer_fails_in_geometry_stage(self, monkeypatch, overrides,
+                                                          named):
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        with pytest.raises(PipelineError, match="too coarse to keep its") as err:
+            pipeline.execute(tiny_config(**overrides))
+        assert err.value.stage == "geometry"
+        assert named in str(err.value)
 
-        def noise_spy(*args):
-            alive.append(refs[0]() is not None)
-            return add_noise(*args)
-
-        monkeypatch.setattr(forward, "assemble_single_layer", assemble_spy)
-        monkeypatch.setattr(acquisition, "add_noise", noise_spy)
-        art = pipeline.execute(tiny_config(grid_nx=8, grid_ny=8))
-        assert alive == [False]
-        assert art.assembly["nodes_used"] == 128
+    @pytest.mark.parametrize("kind", [acquisition.CROSS_CORRELATION, acquisition.NEAR_FIELD])
+    def test_tiny_wavenumber_fails_in_geometry_stage_by_name(self, kind):
+        # a wavelength of 6.3e300: every pair is within 1e-14 wavelengths,
+        # so none would be told apart, though no source is on a receiver
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(tiny_config(k=1e-300, matrix_kind=kind))
+        assert err.value.stage == "geometry"
+        span = 55 if kind == acquisition.CROSS_CORRELATION else 10
+        assert str(err.value) == (
+            f"[geometry] wave.k = 1e-300 is too small: the receivers and sources, at "
+            f"most {span} apart, all lie within 1e-14 wavelengths (6.28e+300) of each "
+            "other, where points count as coincident")
 
     def test_noise_beyond_double_range_fails_in_noise_stage(self):
         cfg = preset("kite-C")
@@ -545,6 +599,31 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("name", ["kite-C", "kite-N", "setup2(200)"])
+    def test_reusing_run_matches_a_fresh_run(self, tmp_path, assembled, name):
+        # the seed-1 run reuses the seed-0 run's system; the last assembles anew
+        cfg = preset(name)
+        run(dataclasses.replace(cfg, seed=0), tmp_path / "warm")
+        run(dataclasses.replace(cfg, seed=1), tmp_path / "reused")
+        pipeline._SYSTEMS.clear()
+        run(dataclasses.replace(cfg, seed=1), tmp_path / "fresh")
+        assert len(assembled[0]) == 2
+        for file in pipeline.OUTPUT_FILES:
+            assert (tmp_path / "reused" / file).read_bytes() == (
+                tmp_path / "fresh" / file
+            ).read_bytes()
+
+    def test_reused_near_resonant_system_still_warns(self, assembled):
+        # a circle of radius j_{0,1} / k: k^2 is its first interior Dirichlet eigenvalue
+        radius = scipy.special.jn_zeros(0, 1)[0] / (2.0 * math.pi)
+        cfg = tiny_config(scatterer_kind="circle", scatterer_size=2.0 * radius,
+                          grid_nx=8, grid_ny=8)
+        for seed in (0, 1):
+            with pytest.warns(forward.ResonanceWarning):
+                art = pipeline.execute(dataclasses.replace(cfg, seed=seed))
+            assert art.assembly["condition_estimate"] > forward.RESONANCE_CONDITION_LIMIT
+        assert len(assembled[0]) == 1
 
     def test_manifest_morozov_health_is_deterministic(self, tmp_path, monkeypatch):
         # read at run time: a set variable is recorded as is, an unset one as null
