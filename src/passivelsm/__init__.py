@@ -8,12 +8,11 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THR
 
 
 def _apply_thread_cap() -> None:
-    """Honor LSM_THREADS by capping BLAS pools before numpy loads."""
+    """Cap the BLAS pools before numpy loads: to LSM_THREADS when set, else
+    to one thread.  A pool variable that is already set wins."""
     import os
 
-    threads = os.environ.get("LSM_THREADS")
-    if not threads:
-        return
+    threads = os.environ.get("LSM_THREADS") or "1"
     for var in BLAS_THREAD_VARIABLES:
         os.environ.setdefault(var, threads)
 

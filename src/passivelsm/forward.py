@@ -18,9 +18,10 @@ GeometryError for a point or source that is not clear of the scatterers.
 The system solves on the receiver side: with E the map from charges to
 u_s at the points, u_s = E M^-1 (-phi(nodes, sources)), and M symmetric
 makes the response E M^-1 one solve with the P columns E^T.  The system
-keeps the response of the last point set, so a new source layout costs
-only its right-hand sides and one product.  The Mie series for a circle
-is an independent reference for validation.
+keeps the responses of its KEPT_RESPONSES most recently used point sets,
+so a new source layout on either costs only its right-hand sides and one
+product.  The Mie series for a circle is an independent reference for
+validation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ NEAR_EVAL_TOLERANCE = 1e-6
 MIN_SOURCE_CLEARANCE = 1e-3  # wavelengths
 # Largest single-layer system, as inversion.MAX_SVD_SIZE bounds the matrix.
 MAX_BOUNDARY_NODES = 2048
+# Point sets whose receiver responses a system keeps: a pipeline run uses
+# one, and the source-sweep workload alternates two on one system (its
+# C receivers and its denser covariance receivers).
+KEPT_RESPONSES = 2
 
 
 class GeometryError(ValueError):
@@ -114,14 +119,14 @@ class SingleLayerSystem:
     The matrix acts on node charges; it is symmetric because the kernel
     phi(x, y) is.  An empty boundary list yields the trivial system of a
     free medium, with lu None.  The system also keeps the receiver
-    response of the last point set `scattered` saw.
+    responses of the KEPT_RESPONSES point sets `scattered` used last.
     """
 
     boundaries: tuple
     ctx: WaveContext
     lu: object
     condition_estimate: float
-    # at most one entry: (shape, bytes) of a point set -> its _response
+    # (shape, bytes) of a point set -> its _response, least recently used first
     _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -139,16 +144,20 @@ class SingleLayerSystem:
         is reported before a bad source.
 
         u_s = E(points) M^-1 (-phi(nodes, sources)): the receiver response
-        E(points) M^-1 is solved once per point set and kept for the last
-        one, so a new source layout costs only its right-hand sides and one
-        product.  Those exact points were checked when it was made.
+        E(points) M^-1 is solved once per point set and kept for the
+        KEPT_RESPONSES sets used last, so a new source layout costs only
+        its right-hand sides and one product.  Those exact points were
+        checked when it was made.  A new set drops the least recently used
+        response before it solves its own.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         key = (pts.shape, pts.tobytes())
-        response = self._responses.get(key)
+        response = self._responses.pop(key, None)
         if response is None:
-            self._responses.clear()
-            response = self._responses[key] = _response(self, pts)
+            if len(self._responses) == KEPT_RESPONSES:
+                del self._responses[next(iter(self._responses))]
+            response = _response(self, pts)
+        self._responses[key] = response
         return response.apply(_rhs(self, sources))
 
 

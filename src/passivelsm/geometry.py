@@ -34,6 +34,10 @@ _KITE_COEFFICIENTS = np.array(
 # distance queries.
 POLYGON_SAMPLES = 2048
 
+# Largest coordinate magnitude, or radius, whose squared distances across
+# (up to twice it) stay within double range.
+MAX_COORDINATE = 0.5 * np.sqrt(np.finfo(float).max)
+
 
 ROLE_RECEIVER = "receiver"
 ROLE_RANDOM_SOURCE = "random-source"
@@ -245,14 +249,19 @@ def _layout_span(radius, count, arc):
         raise ValueError("count must be at least 1")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if 2.0 * radius > np.sqrt(np.finfo(float).max):
+    if radius > MAX_COORDINATE:
         raise ValueError(f"radius {radius:g} is too large: squared distances across it overflow")
     if arc is None:
         return 0.0, 2.0 * np.pi
     theta_min, theta_max = float(arc[0]), float(arc[1])
     if not (np.isfinite([theta_min, theta_max]).all() and theta_max > theta_min):
         raise ValueError("arc must satisfy theta_max > theta_min, both finite")
-    return theta_min, theta_max - theta_min
+    span = theta_max - theta_min
+    # (r, r + 2 pi) may span 2 pi plus a rounding of the larger endpoint
+    if span > 2.0 * np.pi + 2.0 * np.spacing(max(abs(theta_min), abs(theta_max))):
+        raise ValueError(f"arc ({theta_min:g}, {theta_max:g}) spans {span:g} radians, "
+                         "more than the full circle")
+    return theta_min, span
 
 
 def circle_points(

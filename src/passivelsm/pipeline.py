@@ -17,7 +17,7 @@ BLAS library and thread count are byte-identical.
 
 Runs of one scene in one process share its single-layer system: the
 last one assembled is kept for the next run of the same placed curve,
-node count and k, with its receiver response, and is dropped before
+node count and k, with its receiver responses, and is dropped before
 another scene assembles its own.
 """
 
@@ -132,16 +132,23 @@ class ExperimentConfig:
 
     def grid_spec(self) -> inversion.GridSpec:
         """The probe grid; refuses an axis without points, a non-finite
-        bound, or a mask radius that is NaN or negative."""
+        bound, a mask radius that is NaN or negative, and a bound or a
+        finite mask radius beyond geometry.MAX_COORDINATE, whose squares
+        overflow (an infinite mask radius masks nothing)."""
         for key, count in (("grid.nx", self.grid_nx), ("grid.ny", self.grid_ny)):
             if count < 1:
                 raise ValueError(f"{key} = {count}: the grid needs at least one point per axis")
-        for key, value in zip(("grid.x_min", "grid.x_max", "grid.y_min", "grid.y_max"),
-                              (*self.grid_x, *self.grid_y)):
+        bounds = tuple(zip(("grid.x_min", "grid.x_max", "grid.y_min", "grid.y_max"),
+                           (*self.grid_x, *self.grid_y)))
+        for key, value in bounds:
             if not math.isfinite(value):
                 raise ValueError(f"{key} = {value} is not finite")
         if not self.mask_radius >= 0:
             raise ValueError(f"grid.mask_radius = {self.mask_radius} must be >= 0")
+        for key, value in bounds + (("grid.mask_radius", self.mask_radius),):
+            if math.isfinite(value) and abs(value) > geometry.MAX_COORDINATE:
+                raise ValueError(f"{key} = {value:g} is too large: squared distances "
+                                 "across it overflow")
         return inversion.GridSpec(
             x_min=self.grid_x[0], x_max=self.grid_x[1],
             y_min=self.grid_y[0], y_max=self.grid_y[1],
@@ -358,7 +365,7 @@ def _single_layer(boundary: Optional[geometry.DiscretizedBoundary],
     """The system of `boundary` (None for a free medium) at ctx.k.
 
     The memo's system when it was assembled from the same placed curve,
-    node count and k, which also keeps its receiver response and its
+    node count and k, which also keeps its receiver responses and its
     curves' polygons; it warns as assembly would.  Otherwise the memo is
     emptied before the new system is assembled and kept.
     """
@@ -422,6 +429,15 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                 f"wave.k = {cfg.k:g} is too small: the receivers and sources, at most "
                 f"{span:g} apart, all lie within {SINGULARITY_FACTOR:g} wavelengths "
                 f"({ctx.wavelength:.3g}) of each other, where points count as coincident")
+        # the closest a source may come to a receiver on the two circles;
+        # at 0 a source may sit on a receiver, which acquisition reports
+        gap = abs(cfg.source_radius - cfg.receiver_radius) if needs_sources else 0.0
+        if 0.0 < gap < SINGULARITY_FACTOR * ctx.wavelength:
+            raise ValueError(
+                f"wave.k = {cfg.k:g} with sources.radius = {cfg.source_radius:g} and "
+                f"receivers.radius = {cfg.receiver_radius:g}: the circles, {gap:g} apart, "
+                f"lie within {SINGULARITY_FACTOR:g} wavelengths ({ctx.wavelength:.3g}) of "
+                "each other, where points count as coincident")
         grid = cfg.grid_spec()
         model = curve = boundary = None
         if cfg.scatterer_kind == "point-scatterers":

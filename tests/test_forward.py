@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -520,23 +521,52 @@ class TestReceiverResponse:
         with pytest.raises(GeometryError, match="receiver lies inside"):
             system.scattered((2.0, 2.0), self.SOURCES)
 
-    def test_retains_at_most_one_response(self, kite_system):
+    # of a, b, a, b, c, a only the first use of each set and the rebuild of
+    # a, which c dropped, solve; in a, b, a, c the hit on a makes c drop b
+    @pytest.mark.parametrize("uses, solves", [("ababca", "abca"), ("abaca", "abc")])
+    def test_keeps_the_two_latest_point_sets(self, kite_system, monkeypatch, uses, solves):
+        """Each new set drops the least recently used response before it
+        solves, and every call gives the bytes of a fresh system."""
+        refs, alive = [], []
+
+        def response_spy(system, points, original=forward._response):
+            alive.append(sum(ref() is not None for ref in refs))
+            response = original(system, points)
+            refs.append(weakref.ref(response))
+            return response
+
+        monkeypatch.setattr(forward, "_response", response_spy)
+        sets = {"a": self.ring(6.0, 9), "b": self.ring(7.0, 11), "c": self.ring(8.0, 9)}
+        fresh = {name: replace(kite_system).scattered(pts, self.SOURCES).tobytes()
+                 for name, pts in sets.items()}
+        refs.clear()
+        alive.clear()
+        system = replace(kite_system)
+        solved = ""
+        for name in uses:
+            before = len(alive)
+            assert system.scattered(sets[name], self.SOURCES).tobytes() == fresh[name]
+            solved += name * (len(alive) - before)
+        assert solved == solves
+        assert alive == [0] + [1] * (len(solves) - 1)
+
+    def test_retains_at_most_two_responses(self, kite_system):
         count = 200
         n = kite_system.size
         system = replace(kite_system)
-        a, b = self.ring(6.0, count), self.ring(7.0, count)
+        a, b, c = self.ring(6.0, count), self.ring(7.0, count), self.ring(8.0, count)
         replace(kite_system).scattered(a, self.SOURCES)   # first-call allocations
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for pts in (a, b, a):
+            for pts in (a, b, a, c):
                 system.scattered(pts, self.SOURCES)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        # one (P, n) complex response; the slack (2 % of it) holds its key,
-        # the points' 3.2 KB of bytes, and a few small objects
-        assert retained <= count * n * 16 + 16384
+        # two (P, n) complex responses; the slack (1 % of them) holds their
+        # keys, the points' 2 x 3.2 KB of bytes, and a few small objects
+        assert retained <= 2 * count * n * 16 + 16384
 
     @pytest.mark.parametrize("factor", [2, 4])
     @pytest.mark.parametrize("n", [32, 64, 256])

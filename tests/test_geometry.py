@@ -257,6 +257,19 @@ class TestLayoutValidation:
         with pytest.raises(ValueError, match="arc"):
             layout(radius=2.0, count=8, arc=arc)
 
+    def test_rejects_arc_wider_than_the_circle(self, layout):
+        with pytest.raises(ValueError, match="more than the full circle"):
+            layout(radius=2.0, count=8, arc=(0.0, 4.0 * np.pi))
+
+    def test_accepts_a_full_circle_arc_at_any_rotation(self, layout):
+        # 14 % of these spans exceed 2 pi in float64, by rounding alone
+        rotations = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 10_000)
+        spans = np.array([geometry._layout_span(2.0, 8, (r, r + 2.0 * np.pi))[1]
+                          for r in rotations])
+        wide = rotations[spans > 2.0 * np.pi]
+        assert len(wide) > 1000
+        assert layout(radius=2.0, count=8, arc=(wide[0], wide[0] + 2.0 * np.pi)).count == 8
+
     def test_rejects_empty_layout(self, layout):
         with pytest.raises(ValueError, match="count"):
             layout(radius=2.0, count=0)

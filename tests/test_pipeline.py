@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -398,6 +399,20 @@ class TestExecute:
             f"most {span} apart, all lie within 1e-14 wavelengths (6.28e+300) of each "
             "other, where points count as coincident")
 
+    @pytest.mark.parametrize("k", [1.2e-15, 1.3e-15])
+    @pytest.mark.parametrize("kind", [acquisition.CROSS_CORRELATION, acquisition.COVARIANCE])
+    def test_small_wavenumber_that_merges_the_circles_fails_by_name(self, monkeypatch,
+                                                                    kind, k):
+        # the circles, 45 apart, lie within 1e-14 wavelengths (52.4 and 48.3),
+        # though the 55 across the layout do not; no source is on a receiver
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        with pytest.raises(PipelineError) as err:
+            pipeline.execute(tiny_config(k=k, matrix_kind=kind))
+        assert err.value.stage == "geometry"
+        assert str(err.value).startswith(
+            f"[geometry] wave.k = {k:g} with sources.radius = 50 and receivers.radius = 5: "
+            "the circles, 45 apart, lie within 1e-14 wavelengths")
+
     def test_noise_beyond_double_range_fails_in_noise_stage(self):
         cfg = preset("kite-C")
         cfg.noise_amplitude, cfg.receiver_count, cfg.source_count = 1.7e308, 12, 16
@@ -442,6 +457,34 @@ class TestExecute:
         with pytest.raises(PipelineError, match=f"{key} = {value}") as err:
             pipeline.execute(cfg)
         assert err.value.stage == "geometry"
+
+    # an arc of 4 pi would count the circle twice in |Sigma| (C 12.7 |I| from I)
+    @pytest.mark.parametrize("field", ["receiver_arc", "source_arc"])
+    def test_arc_wider_than_the_circle_fails_in_geometry_stage(self, monkeypatch, field):
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        with pytest.raises(PipelineError, match=re.escape(
+                "arc (0, 12.566) spans 12.566 radians, more than the full circle")) as err:
+            pipeline.execute(tiny_config(**{field: (0.0, 12.566)}))
+        assert err.value.stage == "geometry"
+
+    # the squares of these overflow where inversion masks the probes
+    @pytest.mark.parametrize("key, value", [
+        ("grid.mask_radius", "1e300"), ("grid.x_min", "-1e300"), ("grid.y_max", "1e155"),
+    ])
+    def test_grid_whose_squares_overflow_fails_in_geometry_stage_by_name(
+            self, tiny_ini, monkeypatch, key, value):
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        cfg = ExperimentConfig.from_ini(tiny_ini, [(key, value)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match=re.escape(
+                    f"{key} = {float(value):g} is too large: squared distances")) as err:
+                pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
+
+    def test_infinite_mask_radius_masks_nothing(self, tiny_ini):
+        cfg = ExperimentConfig.from_ini(tiny_ini, [("grid.mask_radius", "inf")])
+        assert pipeline.execute(cfg).indicator.morozov.probed == 8 * 8
 
     @pytest.mark.parametrize("mode", ["unifrom", "bogus"])
     def test_unknown_source_mode_fails_in_geometry_stage(self, mode):
@@ -896,6 +939,21 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "2"
+
+    def test_unset_thread_cap_gives_one_thread(self):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("LSM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        code = ("import os, passivelsm.cli; print(*(os.environ.get(v) for v in "
+                "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["1", "1", "1"]
+        # an explicit pool size still wins over the default
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["1", "2", "1"]
 
     def test_validate_failed_criterion_exits_1(self, tmp_path, monkeypatch, capsys):
         from passivelsm import validate
