@@ -24,6 +24,8 @@ at a time, whose amplitudes come in realization order from one (seed,
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -254,18 +256,30 @@ def add_noise(matrix: FieldMatrix, amplitude: float, seed: int) -> FieldMatrix:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _write_csv(path, header: str, lines) -> None:
-    """The header line, then each text block of `lines` as it comes."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(lines)
+def _write_blocks(path, blocks) -> str:
+    """Write each bytes block as it comes; the hex SHA-256 of all of them,
+    each hashed as it is written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in blocks:
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
 
 
-def write_matrix_csv(matrix: FieldMatrix, path) -> None:
+def _write_csv(path, header: str, lines) -> str:
+    """The header line, then each text block of `lines` as it comes; the
+    hex SHA-256 of the bytes written."""
+    return _write_blocks(path, (text.encode("ascii")
+                                for text in itertools.chain((header + "\n",), lines)))
+
+
+def write_matrix_csv(matrix: FieldMatrix, path) -> str:
     """Row-major CSV, one `re,im` line per entry, under a header of what made it.
 
     seed, L and beta are those of the sources (the noise seed and blanks
     for a matrix without sources); M is blank except for the covariance.
+    Returns the hex SHA-256 of the bytes written.
     """
     src = matrix.sources
     seed, count, beta = ((matrix.noise_seed, "", "") if src is None
@@ -279,22 +293,6 @@ def write_matrix_csv(matrix: FieldMatrix, path) -> None:
     # a row's re, im pairs lie side by side as floats; one row at a time
     # keeps the formatted text, not the whole table, in memory
     template = "%.17g,%.17g\n" * matrix.size
-    _write_csv(path, header, (
+    return _write_csv(path, header, (
         template % tuple(np.ascontiguousarray(row, dtype=complex).view(float).tolist())
         for row in matrix.entries))
-
-
-def read_matrix_csv(path) -> tuple[np.ndarray, dict]:
-    """Read a matrix written by write_matrix_csv; returns (entries, header)."""
-    with open(path) as fh:
-        header_line = fh.readline().strip()
-        data = np.loadtxt(fh, delimiter=",")
-    if not header_line.startswith("# "):
-        raise ValueError("missing matrix CSV header")
-    fields = {}
-    for item in header_line[2:].split(","):
-        key, _, value = item.partition("=")
-        fields[key] = value
-    j = int(fields["J"])
-    entries = (data[:, 0] + 1j * data[:, 1]).reshape(j, j)
-    return entries, fields

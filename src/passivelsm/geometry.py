@@ -222,13 +222,15 @@ def boundary_distance(curve: BoundaryCurve, points):
 class PointSet:
     """Points on a circle or arc of `radius` with the draw that placed them.
 
-    beta is the perturbation bound of a beta-perturbed layout and None for
+    span is the angle the layout covers, 2 pi for the full circle.  beta
+    is the perturbation bound of a beta-perturbed layout and None for
     uniformly random angles; seed names the stream of either draw.
     """
 
     points: np.ndarray
     role: str
     radius: float
+    span: float
     beta: Optional[float]
     seed: int
 
@@ -236,11 +238,17 @@ class PointSet:
     def count(self) -> int:
         return len(self.points)
 
+    @property
+    def length(self) -> float:
+        """|Sigma|, the length of the circle or arc: radius * span."""
+        return self.radius * self.span
 
-def _points_from_angles(radius, theta, role, beta, seed):
+
+def _points_from_angles(radius, span, theta, role, beta, seed):
     pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     pts.flags.writeable = False
-    return PointSet(points=pts, role=role, radius=float(radius), beta=beta, seed=int(seed))
+    return PointSet(points=pts, role=role, radius=float(radius), span=float(span),
+                    beta=beta, seed=int(seed))
 
 
 def _layout_span(radius, count, arc):
@@ -257,10 +265,16 @@ def _layout_span(radius, count, arc):
     if not (np.isfinite([theta_min, theta_max]).all() and theta_max > theta_min):
         raise ValueError("arc must satisfy theta_max > theta_min, both finite")
     span = theta_max - theta_min
+    grain = float(np.spacing(max(abs(theta_min), abs(theta_max))))
     # (r, r + 2 pi) may span 2 pi plus a rounding of the larger endpoint
-    if span > 2.0 * np.pi + 2.0 * np.spacing(max(abs(theta_min), abs(theta_max))):
+    if span > 2.0 * np.pi + 2.0 * grain:
         raise ValueError(f"arc ({theta_min:g}, {theta_max:g}) spans {span:g} radians, "
                          "more than the full circle")
+    # adjacent angles stay distinct while float64 is finer than half their step
+    if 2.0 * grain >= span / count:
+        raise ValueError(f"arc ({theta_min:g}, {theta_max:g}) spans {span:g} radians "
+                         f"where float64 angles are {grain:.3g} apart, too coarse to keep "
+                         f"its {count} points ({span / count:.3g} apart) distinct")
     return theta_min, span
 
 
@@ -286,7 +300,7 @@ def circle_points(
     if beta > 0.0:
         offsets = substream(seed, "circle-points").uniform(0.0, beta, count)
     theta = theta_min + (span / count) * (np.arange(count) + offsets)
-    return _points_from_angles(radius, theta, role, float(beta), seed)
+    return _points_from_angles(radius, span, theta, role, float(beta), seed)
 
 
 def circle_points_uniform(
@@ -305,4 +319,4 @@ def circle_points_uniform(
     theta = theta_min + span * substream(seed, "circle-points-uniform").uniform(
         0.0, 1.0, count
     )
-    return _points_from_angles(radius, theta, role, None, seed)
+    return _points_from_angles(radius, span, theta, role, None, seed)

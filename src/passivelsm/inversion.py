@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 import scipy.spatial
 
-from .acquisition import FieldMatrix, _write_csv
+from .acquisition import FieldMatrix, _write_blocks, _write_csv
 from .geometry import PointSet
 from .specfun import SINGULARITY_FACTOR, WaveContext, green2d
 
@@ -252,12 +252,12 @@ class IndicatorMap:
 def indicator_map(
     matrix: FieldMatrix,
     grid: GridSpec,
-    ctx: WaveContext,
     mask_radius: Optional[float] = None,
 ) -> IndicatorMap:
     """Probe the medium on `grid` with per-point Morozov regularization.
 
-    The receivers and the noise level delta are the matrix's own.  One
+    The receivers, the wavenumber k and the noise level delta are the
+    matrix's own.  One
     SVD is computed per matrix; all probe points share it.  Points
     outside the mask radius (default: the receiver circle radius) are
     skipped; points whose discrepancy equation has no root are recorded
@@ -266,6 +266,7 @@ def indicator_map(
     arithmetic would overflow.
     """
     receivers = matrix.receivers
+    ctx = WaveContext(k=matrix.k)
     delta = matrix.delta
     if delta <= 0:
         raise ValueError("indicator_map requires a positive noise level delta")
@@ -338,25 +339,26 @@ def _grid_lines(grid: GridSpec, fmt: str, *fields):
         yield (tail.join(heads) + tail) % tuple(cells.ravel().tolist())
 
 
-def write_indicator_csv(imap: IndicatorMap, path) -> None:
-    """Full per-point table: x, y, raw ||g||, normalized reciprocal, mask."""
-    _write_csv(path, "x,y,raw,reciprocal,mask", _grid_lines(
+def write_indicator_csv(imap: IndicatorMap, path) -> str:
+    """Full per-point table: x, y, raw ||g||, normalized reciprocal, mask;
+    returns the hex SHA-256 of the bytes written."""
+    return _write_csv(path, "x,y,raw,reciprocal,mask", _grid_lines(
         imap.grid, "%.17g,%.17g,%d", imap.values, imap.reciprocal, imap.mask))
 
 
-def write_indicator_raw_csv(imap: IndicatorMap, path) -> None:
-    """Raw ||g|| field only: x, y, value, mask."""
-    _write_csv(path, "x,y,value,mask",
+def write_indicator_raw_csv(imap: IndicatorMap, path) -> str:
+    """Raw ||g|| field only: x, y, value, mask; returns the hex SHA-256 of
+    the bytes written."""
+    return _write_csv(path, "x,y,value,mask",
                _grid_lines(imap.grid, "%.17g,%d", imap.values, imap.mask))
 
 
-def write_indicator_pgm(imap: IndicatorMap, path) -> None:
-    """8-bit binary PGM of the reciprocal indicator, rows top to bottom."""
+def write_indicator_pgm(imap: IndicatorMap, path) -> str:
+    """8-bit binary PGM of the reciprocal indicator, rows top to bottom;
+    returns the hex SHA-256 of the bytes written."""
     img = np.round(255.0 * np.clip(imap.reciprocal, 0.0, 1.0)).astype(np.uint8)
     img[~imap.mask] = 0
     # values[ix, iy] -> image row = top-to-bottom in y, column = x
     raster = img.T[::-1, :]
     header = f"P5\n{imap.grid.nx} {imap.grid.ny}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(raster.tobytes())
+    return _write_blocks(path, (header, raster.tobytes()))

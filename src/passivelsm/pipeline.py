@@ -24,7 +24,6 @@ another scene assembles its own.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import json
 import logging
@@ -51,6 +50,14 @@ VERSION = "0.1.0"
 # Kress rule is far below 1e-8 boundary residual at 48 nodes per
 # wavelength of perimeter for the smooth shapes supported here.
 MIN_NODES_PER_WAVELENGTH = 48
+
+# The bytes each size-proportional term of a run may reach: a source keeps
+# its point, 16 B (a covariance also 16 J B of its J x L field), and the
+# probe grid peaks below 56 B per cell (README, Memory).  A larger
+# sources.count or grid is refused by key in [geometry], before it is built.
+MEMORY_BUDGET = 2 ** 30
+SOURCE_BYTES = 16
+GRID_CELL_BYTES = 56
 
 OUTPUT_FILES = ("matrix.csv", "indicator.csv", "indicator_raw.csv", "indicator.pgm")
 
@@ -131,13 +138,20 @@ class ExperimentConfig:
         return WaveContext(k=self.k)
 
     def grid_spec(self) -> inversion.GridSpec:
-        """The probe grid; refuses an axis without points, a non-finite
-        bound, a mask radius that is NaN or negative, and a bound or a
-        finite mask radius beyond geometry.MAX_COORDINATE, whose squares
-        overflow (an infinite mask radius masks nothing)."""
+        """The probe grid; refuses an axis without points, more cells than
+        MEMORY_BUDGET holds at GRID_CELL_BYTES each, a non-finite bound, a
+        mask radius that is NaN or negative, and a bound or a finite mask
+        radius beyond geometry.MAX_COORDINATE, whose squares overflow (an
+        infinite mask radius masks nothing)."""
         for key, count in (("grid.nx", self.grid_nx), ("grid.ny", self.grid_ny)):
             if count < 1:
                 raise ValueError(f"{key} = {count}: the grid needs at least one point per axis")
+        cells = self.grid_nx * self.grid_ny
+        if cells * GRID_CELL_BYTES > MEMORY_BUDGET:
+            raise ValueError(
+                f"grid.nx * grid.ny = {self.grid_nx} * {self.grid_ny}: "
+                f"{cells * GRID_CELL_BYTES / 2 ** 30:.3g} GiB at {GRID_CELL_BYTES} B per "
+                f"cell, more than the {MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
         bounds = tuple(zip(("grid.x_min", "grid.x_max", "grid.y_min", "grid.y_max"),
                            (*self.grid_x, *self.grid_y)))
         for key, value in bounds:
@@ -354,12 +368,6 @@ def _build_sources(cfg: ExperimentConfig) -> geometry.PointSet:
     )
 
 
-def _sigma_length(cfg: ExperimentConfig) -> float:
-    if cfg.source_arc is None:
-        return 2.0 * math.pi * cfg.source_radius
-    return cfg.source_radius * (cfg.source_arc[1] - cfg.source_arc[0])
-
-
 def _single_layer(boundary: Optional[geometry.DiscretizedBoundary],
                   ctx: WaveContext) -> forward.SingleLayerSystem:
     """The system of `boundary` (None for a free medium) at ctx.k.
@@ -421,6 +429,16 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             cfg.receiver_radius, cfg.receiver_count, beta=0.0,
             arc=cfg.receiver_arc, role=geometry.ROLE_RECEIVER,
         )
+        if needs_sources:
+            key, per_source = f"sources.count = {cfg.source_count}", SOURCE_BYTES
+            if cfg.matrix_kind == acquisition.COVARIANCE:   # its J x L field
+                key += f" with receivers.count = {cfg.receiver_count}"
+                per_source *= cfg.receiver_count
+            if cfg.source_count * per_source > MEMORY_BUDGET:
+                raise ValueError(
+                    f"{key}: {cfg.source_count * per_source / 2 ** 30:.3g} GiB at "
+                    f"{per_source} B per source, more than the "
+                    f"{MEMORY_BUDGET / 2 ** 30:g} GiB memory budget")
         sources = _build_sources(cfg) if needs_sources else None
         span = cfg.receiver_radius + max(cfg.receiver_radius,
                                          cfg.source_radius if needs_sources else 0.0)
@@ -491,11 +509,11 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             )
         elif cfg.matrix_kind == acquisition.CROSS_CORRELATION:
             matrix = acquisition.cross_correlation_matrix(
-                receivers, sources, _sigma_length(cfg), model
+                receivers, sources, sources.length, model
             )
         else:
             matrix = acquisition.covariance_matrix(
-                receivers, sources, _sigma_length(cfg), cfg.realizations,
+                receivers, sources, sources.length, cfg.realizations,
                 cfg.seed, model,
             )
     assembly = _assembly_health(cfg, model)
@@ -509,8 +527,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
                              "needs noise.amplitude > 0")
 
     with _stage("invert", timings):
-        indicator = inversion.indicator_map(
-            matrix, grid, ctx, mask_radius=cfg.mask_radius)
+        indicator = inversion.indicator_map(matrix, grid, mask_radius=cfg.mask_radius)
         if not indicator.mask.any():
             stats = indicator.morozov
             if not stats.probed:
@@ -554,14 +571,6 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _blas(build: dict) -> str:
     """'name version' of the BLAS in a show_config(mode="dicts") report."""
     blas = build["Build Dependencies"]["blas"]
@@ -597,18 +606,19 @@ def run(config: ExperimentConfig, outdir) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     art = execute(config)
     with _stage("write", art.timings):
-        acquisition.write_matrix_csv(art.matrix, out / "matrix.csv")
-        inversion.write_indicator_csv(art.indicator, out / "indicator.csv")
-        inversion.write_indicator_raw_csv(art.indicator, out / "indicator_raw.csv")
-        inversion.write_indicator_pgm(art.indicator, out / "indicator.pgm")
-    files = {name: _sha256(out / name) for name in OUTPUT_FILES}
+        digests = (
+            acquisition.write_matrix_csv(art.matrix, out / "matrix.csv"),
+            inversion.write_indicator_csv(art.indicator, out / "indicator.csv"),
+            inversion.write_indicator_raw_csv(art.indicator, out / "indicator_raw.csv"),
+            inversion.write_indicator_pgm(art.indicator, out / "indicator.pgm"),
+        )
     manifest = RunManifest(
         version=VERSION,
         config=asdict(config),
         seed=config.seed,
         delta=art.matrix.delta,
         timings={k: round(v, 6) for k, v in art.timings.items()},
-        files=files,
+        files=dict(zip(OUTPUT_FILES, digests)),
         health={"assembly": art.assembly,
                 "morozov": asdict(art.indicator.morozov)},
         environment=_environment(),

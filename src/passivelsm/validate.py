@@ -70,7 +70,7 @@ def _kite_imaginary():
 
 def _cross_corr(sources: geometry.PointSet) -> acquisition.FieldMatrix:
     return acquisition.cross_correlation_matrix(
-        _kite_receivers(), sources, 2.0 * math.pi * 50.0 * _LAM, _kite_system()
+        _kite_receivers(), sources, sources.length, _kite_system()
     )
 
 
@@ -86,11 +86,10 @@ def _bridge_error(sources: geometry.PointSet) -> float:
 def reconstruction_metrics(
     imap: inversion.IndicatorMap,
     curve: geometry.BoundaryCurve,
-    center,
     wavelength: float,
 ) -> dict:
     """Inside/outside contrast of the reciprocal indicator and the
-    distance from the half-max level-set centroid to the true center.
+    distance from the half-max level-set centroid to the curve's center.
 
     The lambda/4 exclusion band around the boundary applies to the
     outside set only (the inside of a size-lambda/2 scatterer would not
@@ -107,7 +106,7 @@ def reconstruction_metrics(
     half = valid & (rec >= 0.5)
     if half.any():
         centroid = pts[half].mean(axis=0)
-        centroid_dist = float(np.hypot(centroid[0] - center[0], centroid[1] - center[1]))
+        centroid_dist = float(np.hypot(*(centroid - curve.center)))
     else:
         centroid = np.array([np.nan, np.nan])
         centroid_dist = np.inf
@@ -350,9 +349,7 @@ def _contrast_case(preset_name: str) -> dict:
     art = pipeline.execute(cfg)
     sec = time.perf_counter() - t0
     lam = cfg.ctx.wavelength
-    metrics = reconstruction_metrics(
-        art.indicator, art.curve, cfg.scatterer_center, lam
-    )
+    metrics = reconstruction_metrics(art.indicator, art.curve, lam)
     metrics["preset"] = preset_name
     metrics["seconds"] = sec
     metrics["passed"] = (
@@ -401,9 +398,8 @@ def criterion_11_second_setup():
     sources = geometry.circle_points(50.0 * _LAM, 200, beta=0.0,
                                      role=geometry.ROLE_RANDOM_SOURCE)
     system = _kite_system()
-    sigma_len = 2.0 * math.pi * 50.0 * _LAM
     limit = acquisition.cross_correlation_matrix(
-        receivers, sources, sigma_len, system
+        receivers, sources, sources.length, system
     ).entries
     norm = np.linalg.norm(limit)
     means = {}
@@ -411,7 +407,7 @@ def criterion_11_second_setup():
         errs = []
         for seed in range(10):
             cov = acquisition.covariance_matrix(
-                receivers, sources, sigma_len, m, seed, system
+                receivers, sources, sources.length, m, seed, system
             ).entries
             errs.append(float(np.linalg.norm(cov - limit) / norm))
         means[m] = float(np.mean(errs))

@@ -5,7 +5,8 @@ Python ascending series for the cylinder functions, power iteration
 with deflation for singular values, an even-odd crossing count for
 points in a polygon, the nearest node's unit normal for the same
 question, one outer product per covariance realization, the
-cosine sum for the Kress log weights, np.savetxt for the CSV text, the
+cosine sum for the Kress log weights, np.savetxt for the CSV text and
+np.loadtxt to read a matrix CSV back, the
 explicit formulas of the scatterer curves, the elementwise
 broadcast formula of the Green's function, the Kress self block as it
 was assembled from separate j0 and y0 arrays, the scattered field summed
@@ -208,6 +209,23 @@ def savetxt_csv(path, columns, header: str, fmt="%.17g") -> None:
     with open(path, "w", newline="\n") as fh:
         np.savetxt(fh, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt,
                    delimiter=",", header=header, comments="")
+
+
+def read_matrix_csv(path) -> tuple:
+    """Read a matrix written by acquisition.write_matrix_csv; returns
+    (entries, header fields)."""
+    with open(path) as fh:
+        header_line = fh.readline().strip()
+        data = np.loadtxt(fh, delimiter=",")
+    if not header_line.startswith("# "):
+        raise ValueError("missing matrix CSV header")
+    fields = {}
+    for item in header_line[2:].split(","):
+        key, _, value = item.partition("=")
+        fields[key] = value
+    j = int(fields["J"])
+    entries = (data[:, 0] + 1j * data[:, 1]).reshape(j, j)
+    return entries, fields
 
 
 def mask_and_reciprocal_flat(values: np.ndarray):

@@ -18,13 +18,12 @@ from passivelsm.acquisition import (
     imaginary_bracket,
     imaginary_near_field_matrix,
     near_field_matrix,
-    read_matrix_csv,
     write_matrix_csv,
 )
 from passivelsm.geometry import BoundaryCurve, circle_points, discretize, place_scatterer
 from passivelsm.seeding import substream
 
-from oracles import covariance_outer_loop, singular_values_power_iteration
+from oracles import covariance_outer_loop, read_matrix_csv, singular_values_power_iteration
 
 
 @pytest.fixture(scope="module")

@@ -262,13 +262,28 @@ class TestLayoutValidation:
             layout(radius=2.0, count=8, arc=(0.0, 4.0 * np.pi))
 
     def test_accepts_a_full_circle_arc_at_any_rotation(self, layout):
-        # 14 % of these spans exceed 2 pi in float64, by rounding alone
+        # 14 % of these spans exceed 2 pi in float64, by rounding alone; 640
+        # is the largest source count of the source-sweep benchmark
         rotations = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 10_000)
-        spans = np.array([geometry._layout_span(2.0, 8, (r, r + 2.0 * np.pi))[1]
+        spans = np.array([geometry._layout_span(2.0, 640, (r, r + 2.0 * np.pi))[1]
                           for r in rotations])
         wide = rotations[spans > 2.0 * np.pi]
         assert len(wide) > 1000
-        assert layout(radius=2.0, count=8, arc=(wide[0], wide[0] + 2.0 * np.pi)).count == 8
+        points = layout(radius=2.0, count=640, arc=(wide[0], wide[0] + 2.0 * np.pi))
+        assert points.span == spans[spans > 2.0 * np.pi][0]
+
+    # |Sigma| as run configs computed it from the radius and the arc ends
+    @pytest.mark.parametrize("arc, length", [(None, 2.0 * np.pi * 50.0),
+                                             ((0.5, 2.0), 50.0 * (2.0 - 0.5))])
+    def test_length_is_the_radius_times_the_span(self, layout, arc, length):
+        assert layout(radius=50.0, count=8, arc=arc).length == length
+
+    # at 1e17 float64 angles are 16 apart: 80 points 0.4 apart land on 3 angles
+    @pytest.mark.parametrize("arc, count", [((1e17, 1.0000000000000003e17), 80),
+                                            ((1e17, 1e17 + 16.0), 8)])
+    def test_rejects_arc_float64_cannot_place(self, layout, arc, count):
+        with pytest.raises(ValueError, match=r"float64 angles are 16 apart, too coarse"):
+            layout(radius=2.0, count=count, arc=arc)
 
     def test_rejects_empty_layout(self, layout):
         with pytest.raises(ValueError, match="count"):

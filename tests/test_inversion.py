@@ -305,37 +305,37 @@ class TestProbePoint:
 class TestIndicatorMap:
     GRID = GridSpec(-6.0, 6.0, -6.0, 6.0, 24, 24)
 
-    def test_zero_matrix_flat_map(self, ctx):
+    def test_zero_matrix_flat_map(self):
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(np.zeros((10, 10), complex), receivers,
                                    delta=0.1)
-        imap = indicator_map(matrix, self.GRID, ctx)
+        imap = indicator_map(matrix, self.GRID)
         assert not imap.mask.any()
         assert np.all(imap.values == 0.0)
         assert np.all(imap.reciprocal == 0.0)
 
-    def test_morozov_stats(self, ctx):
+    def test_morozov_stats(self):
         rng = np.random.default_rng(8)
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(random_complex(rng, (10, 10)), receivers, delta=0.05)
         inside = int(((self.GRID.points() ** 2).sum(axis=1) <= 25.0).sum())
-        stats = indicator_map(matrix, self.GRID, ctx).morozov
+        stats = indicator_map(matrix, self.GRID).morozov
         assert stats.probed == inside and stats.unsolvable == 0
         assert 0 < stats.alpha_min <= stats.alpha_median <= stats.alpha_max
         assert 1 <= stats.newton_passes <= inversion.MOROZOV_MAX_PASSES
         # a zero matrix leaves every probe unsolvable and no alpha
         matrix = make_field_matrix(np.zeros((10, 10), complex), receivers, delta=0.1)
-        stats = indicator_map(matrix, self.GRID, ctx).morozov
+        stats = indicator_map(matrix, self.GRID).morozov
         assert stats == inversion.MorozovStats(
             probed=inside, unsolvable=inside, alpha_min=None, alpha_median=None,
             alpha_max=None, newton_passes=0)
 
-    def test_mask_radius_zeroes_outside(self, ctx):
+    def test_mask_radius_zeroes_outside(self):
         rng = np.random.default_rng(6)
         receivers = circle_points(5.0, 10)
         entries = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         matrix = make_field_matrix(entries, receivers, delta=0.05)
-        imap = indicator_map(matrix, self.GRID, ctx, mask_radius=5.0)
+        imap = indicator_map(matrix, self.GRID, mask_radius=5.0)
         pts = self.GRID.points()
         outside = (pts ** 2).sum(axis=1) > 25.0
         assert np.all(imap.values.ravel()[outside] == 0.0)
@@ -345,18 +345,18 @@ class TestIndicatorMap:
         assert np.all(imap.values.ravel()[inside] > 0.0)
 
     @pytest.mark.parametrize("radius", [-1.0, math.nan])
-    def test_rejects_negative_or_nan_mask_radius(self, ctx, radius):
+    def test_rejects_negative_or_nan_mask_radius(self, radius):
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(np.eye(10, dtype=complex), receivers, delta=0.05)
         with pytest.raises(ValueError, match="mask_radius must be >= 0"):
-            indicator_map(matrix, self.GRID, ctx, mask_radius=radius)
+            indicator_map(matrix, self.GRID, mask_radius=radius)
 
-    def test_reciprocal_normalized(self, ctx):
+    def test_reciprocal_normalized(self):
         rng = np.random.default_rng(7)
         receivers = circle_points(5.0, 10)
         entries = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         matrix = make_field_matrix(entries, receivers, delta=0.05)
-        imap = indicator_map(matrix, self.GRID, ctx)
+        imap = indicator_map(matrix, self.GRID)
         valid = imap.mask
         assert imap.reciprocal[valid].min() == pytest.approx(0.0, abs=1e-15)
         assert imap.reciprocal[valid].max() == pytest.approx(1.0, abs=1e-15)
@@ -380,7 +380,7 @@ class TestIndicatorMap:
         np.testing.assert_array_equal(imap.mask, mask)
         assert imap.reciprocal.tobytes() == reciprocal.tobytes()
 
-    def test_map_retains_only_its_values(self, ctx):
+    def test_map_retains_only_its_values(self):
         # 8 B per cell of values; the grid and the Morozov stats are O(1)
         rng = np.random.default_rng(10)
         matrix = make_field_matrix(random_complex(rng, (8, 8)), circle_points(5.0, 8),
@@ -388,18 +388,18 @@ class TestIndicatorMap:
         grid = GridSpec(-3.0, 3.0, -3.0, 3.0, 300, 300)
         # a first call leaves a few KB of one-time allocations; take them
         # before measuring, so the bound measures the map alone
-        indicator_map(matrix, GridSpec(-3.0, 3.0, -3.0, 3.0, 4, 4), ctx)
+        indicator_map(matrix, GridSpec(-3.0, 3.0, -3.0, 3.0, 4, 4))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            imap = indicator_map(matrix, grid, ctx)
+            imap = indicator_map(matrix, grid)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
         assert imap.morozov.probed == 300 * 300
         assert retained <= 8 * 300 * 300 + 4096
 
-    def test_peak_per_cell_of_a_kite_c_map(self, preset_runs, ctx):
+    def test_peak_per_cell_of_a_kite_c_map(self, preset_runs):
         # the receiver-collision test queries only the probes inside the
         # mask radius; a whole-grid distance array would add 8 B per cell
         cfg, art = preset_runs["kite-C"]
@@ -407,7 +407,7 @@ class TestIndicatorMap:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            indicator_map(art.matrix, grid, ctx, mask_radius=cfg.mask_radius)
+            indicator_map(art.matrix, grid, mask_radius=cfg.mask_radius)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -415,23 +415,22 @@ class TestIndicatorMap:
 
     @pytest.mark.parametrize("scale, overflows", [(1e76, False), (1e77, True),
                                                   (1e100, True), (1e160, True)])
-    def test_rejects_noise_that_overflows_discrepancy_arithmetic(self, ctx, scale,
-                                                                 overflows):
+    def test_rejects_noise_that_overflows_discrepancy_arithmetic(self, scale, overflows):
         # sigma_max = delta = scale, so (delta sigma_max + sigma_max^2)^2 = 4 scale^4
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(scale * np.eye(10, dtype=complex), receivers,
                                    delta=scale)
         if not overflows:
-            indicator_map(matrix, self.GRID, ctx)
+            indicator_map(matrix, self.GRID)
             return
         with pytest.raises(ValueError, match="overflows Morozov's discrepancy arithmetic"):
-            indicator_map(matrix, self.GRID, ctx)
+            indicator_map(matrix, self.GRID)
 
-    def test_requires_positive_delta(self, ctx):
+    def test_requires_positive_delta(self):
         receivers = circle_points(5.0, 10)
         matrix = make_field_matrix(np.eye(10, dtype=complex), receivers, delta=0.0)
         with pytest.raises(ValueError):
-            indicator_map(matrix, self.GRID, ctx)
+            indicator_map(matrix, self.GRID)
 
     def test_probe_consistency_with_scalar_path(self, ctx):
         """The vectorized map agrees with a per-cell Morozov solve."""
@@ -440,7 +439,7 @@ class TestIndicatorMap:
         entries = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         matrix = make_field_matrix(entries, receivers, delta=0.03)
         grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 5, 5)
-        imap = indicator_map(matrix, grid, ctx)
+        imap = indicator_map(matrix, grid)
         f = svd(matrix)
         for idx, z in enumerate(grid.points()):
             phi = rhs_vectors(receivers, z, ctx)[:, 0]
@@ -458,7 +457,7 @@ class TestIndicatorMap:
         assert on_receiver.sum() == 1
         with pytest.raises(SingularityError):
             rhs_vectors(receivers, grid.points()[on_receiver][0], ctx)
-        imap = indicator_map(matrix, grid, ctx)
+        imap = indicator_map(matrix, grid)
         assert not imap.mask.ravel()[on_receiver].any()
         assert imap.values.ravel()[on_receiver] == 0.0
         # 81 cells lie within radius 5; (5, 0) and (-5, 0) sit on receivers
@@ -482,7 +481,7 @@ class TestIndicatorMemory:
 
         rhs_peak = traced_peak(lambda: rhs_vectors(art.matrix.receivers, zs, cfg.ctx))
         map_peak = traced_peak(lambda: indicator_map(
-            art.matrix, cfg.grid_spec(), cfg.ctx, mask_radius=cfg.mask_radius))
+            art.matrix, cfg.grid_spec(), mask_radius=cfg.mask_radius))
         assert art.indicator.morozov.unsolvable == 0
         assert map_peak <= 1.10 * rhs_peak
 
@@ -493,7 +492,7 @@ class TestIndicatorMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            indicator_map(art.matrix, cfg.grid_spec(), cfg.ctx, mask_radius=cfg.mask_radius)
+            indicator_map(art.matrix, cfg.grid_spec(), mask_radius=cfg.mask_radius)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -520,8 +519,7 @@ class TestIndicatorBlocks:
 
         monkeypatch.setattr(inversion, "_discrepancy_slope", slope_spy)
         monkeypatch.setattr(inversion, "morozov_alphas", solve_spy)
-        imap = indicator_map(art.matrix, cfg.grid_spec(), cfg.ctx,
-                             mask_radius=cfg.mask_radius)
+        imap = indicator_map(art.matrix, cfg.grid_spec(), mask_radius=cfg.mask_radius)
         block = inversion.MOROZOV_BLOCK // art.matrix.size
         assert len(blocks) == -(-imap.morozov.probed // block) > 1
         assert all(passes >= 1 and calls == passes for passes, calls in blocks)
@@ -536,7 +534,7 @@ class TestIndicatorBlocks:
         cfg, art = preset_runs["kite-C"]
         matrix = art.matrix
         assert inversion.MOROZOV_BLOCK // matrix.size == 512
-        imap = indicator_map(matrix, cfg.grid_spec(), cfg.ctx, mask_radius=cfg.mask_radius)
+        imap = indicator_map(matrix, cfg.grid_spec(), mask_radius=cfg.mask_radius)
         assert imap.morozov.unsolvable == 0
         zs = cfg.grid_spec().points()[imap.mask.ravel()]
         f = svd(matrix)
@@ -568,7 +566,7 @@ class TestIndicatorBlocks:
             # MOROZOV_BLOCK counts J x probe entries
             monkeypatch.setattr(inversion, "MOROZOV_BLOCK", block * j)
             monkeypatch.setattr(inversion, "morozov_alphas", spy)
-            imap = indicator_map(art.matrix, grid, cfg.ctx)
+            imap = indicator_map(art.matrix, grid)
             assert len(alphas) == -(-imap.morozov.probed // block)
             return imap, np.concatenate(alphas)
 
@@ -583,7 +581,7 @@ class TestIndicatorBlocks:
 
 
 class TestIndicatorRuntime:
-    def test_reference_size_under_budget(self, ctx):
+    def test_reference_size_under_budget(self):
         # one SVD plus 100x100 filtered probes for J=80 stays well under 10 s
         import time
 
@@ -593,7 +591,7 @@ class TestIndicatorRuntime:
         matrix = make_field_matrix(entries, receivers, delta=0.05)
         grid = GridSpec(-6.0, 6.0, -6.0, 6.0, 100, 100)
         t0 = time.perf_counter()
-        imap = indicator_map(matrix, grid, ctx)
+        imap = indicator_map(matrix, grid)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0
         assert imap.mask.any()
@@ -601,12 +599,12 @@ class TestIndicatorRuntime:
 
 class TestSerialization:
     @pytest.fixture()
-    def imap(self, ctx):
+    def imap(self):
         rng = np.random.default_rng(10)
         receivers = circle_points(5.0, 10)
         entries = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         matrix = make_field_matrix(entries, receivers, delta=0.05)
-        return indicator_map(matrix, GridSpec(-6.0, 6.0, -6.0, 6.0, 12, 10), ctx)
+        return indicator_map(matrix, GridSpec(-6.0, 6.0, -6.0, 6.0, 12, 10))
 
     def test_csv_shape_and_values(self, imap, tmp_path):
         path = tmp_path / "indicator.csv"

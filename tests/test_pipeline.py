@@ -20,6 +20,8 @@ import scipy.special
 from passivelsm import acquisition, cli, forward, geometry, inversion, pipeline
 from passivelsm.pipeline import ExperimentConfig, PipelineError, preset, run
 
+from oracles import read_matrix_csv
+
 
 def count_point_queries(monkeypatch) -> dict:
     """The point count of every containment and distance query from now on."""
@@ -467,6 +469,57 @@ class TestExecute:
             pipeline.execute(tiny_config(**{field: (0.0, 12.566)}))
         assert err.value.stage == "geometry"
 
+    # at 1e17 float64 angles are 16 apart, so its 80 sources would land on 3 points
+    def test_arc_float64_cannot_place_fails_in_geometry_stage(self, monkeypatch):
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        cfg = preset("kite-C")
+        cfg.source_arc = (1e17, 1.0000000000000003e17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match=re.escape(
+                    "arc (1e+17, 1e+17) spans 32 radians where float64 angles are 16 "
+                    "apart, too coarse to keep its 80 points (0.4 apart) distinct")) as err:
+                pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
+
+    # a source keeps 16 B, and a covariance 16 J B more: the largest count
+    # within MEMORY_BUDGET is built, one more is refused before it is
+    @pytest.mark.parametrize("kind, receivers", [(acquisition.CROSS_CORRELATION, 12),
+                                                 (acquisition.COVARIANCE, 200)])
+    def test_source_count_over_the_memory_budget_fails_in_geometry_stage_by_name(
+            self, monkeypatch, kind, receivers):
+        def build(cfg):
+            raise ValueError(f"building {cfg.source_count} sources")
+
+        monkeypatch.setattr(pipeline, "_build_sources", build)
+        per_source = pipeline.SOURCE_BYTES * (
+            receivers if kind == acquisition.COVARIANCE else 1)
+        cap = pipeline.MEMORY_BUDGET // per_source
+        cfg = tiny_config(matrix_kind=kind, receiver_count=receivers, source_count=cap)
+        with pytest.raises(PipelineError, match=f"building {cap} sources"):
+            pipeline.execute(cfg)
+        cfg.source_count = cap + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match=re.escape(
+                    f"sources.count = {cap + 1}")) as err:
+                pipeline.execute(cfg)
+        assert err.value.stage == "geometry"
+        assert f"at {per_source} B per source, more than the 1 GiB memory budget" in str(
+            err.value)
+
+    def test_grid_over_the_memory_budget_fails_in_geometry_stage_by_name(self, monkeypatch):
+        cap = pipeline.MEMORY_BUDGET // pipeline.GRID_CELL_BYTES
+        assert tiny_config(grid_nx=1, grid_ny=cap).grid_spec().ny == cap
+        monkeypatch.setattr(forward, "assemble_single_layer", None)  # never reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match=re.escape(
+                    f"grid.nx * grid.ny = 2 * {cap}: 2 GiB at 56 B per cell, more than "
+                    "the 1 GiB memory budget")) as err:
+                pipeline.execute(tiny_config(grid_nx=2, grid_ny=cap))
+        assert err.value.stage == "geometry"
+
     # the squares of these overflow where inversion masks the probes
     @pytest.mark.parametrize("key, value", [
         ("grid.mask_radius", "1e300"), ("grid.x_min", "-1e300"), ("grid.y_max", "1e155"),
@@ -585,11 +638,12 @@ class TestStageMemory:
                 tracemalloc.stop()
             return result
 
+        sources = pipeline._build_sources(cfg)
         matrix = traced("acquire", acquisition.cross_correlation_matrix, receivers,
-                        pipeline._build_sources(cfg), pipeline._sigma_length(cfg), system)
+                        sources, sources.length, system)
         matrix = traced("noise", acquisition.add_noise, matrix, cfg.noise_amplitude,
                         cfg.seed)
-        traced("invert", inversion.indicator_map, matrix, cfg.grid_spec(), ctx,
+        traced("invert", inversion.indicator_map, matrix, cfg.grid_spec(),
                mask_radius=cfg.mask_radius)
         return peaks
 
@@ -733,7 +787,7 @@ class TestRun:
     def test_matrix_csv_round_trips(self, tmp_path):
         cfg = tiny_config(seed=5)
         run(cfg, tmp_path)
-        entries, fields = acquisition.read_matrix_csv(tmp_path / "matrix.csv")
+        entries, fields = read_matrix_csv(tmp_path / "matrix.csv")
         assert entries.shape == (12, 12)
         assert fields["kind"] == acquisition.CROSS_CORRELATION
 

@@ -1,12 +1,12 @@
 """The CSV writers against np.savetxt on the same columns, and the memory
-of writing and hashing the outputs."""
+and the returned digest of each writer."""
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from passivelsm import acquisition, inversion, pipeline
+from passivelsm import acquisition, inversion
 from passivelsm.geometry import circle_points
 from passivelsm.inversion import GridSpec, IndicatorMap, MorozovStats
 
@@ -83,22 +83,19 @@ class TestIndicatorCsvBytes:
 
 
 class TestStreamingMemory:
-    """One matrix row or grid line is formatted at a time, never the table."""
+    """One matrix row or grid line is formatted at a time, never the table,
+    and each block is hashed as it is written, not read back."""
 
-    def test_matrix_csv(self, tmp_path):
-        matrix = field_matrix(random_matrix(200))
-        peak = traced_peak(lambda: acquisition.write_matrix_csv(matrix, tmp_path / "m.csv"))
+    @pytest.mark.parametrize("write, data", [
+        (acquisition.write_matrix_csv, lambda: field_matrix(random_matrix(200))),
+        (inversion.write_indicator_csv, lambda: masked_map(100, 100)),
+        (inversion.write_indicator_raw_csv, lambda: masked_map(100, 100)),
+        (inversion.write_indicator_pgm, lambda: masked_map(100, 100)),
+    ], ids=["matrix_csv", "indicator_csv", "indicator_raw_csv", "indicator_pgm"])
+    def test_returns_the_digest_of_the_bytes_written(self, tmp_path, write, data):
+        data = data()
+        path = tmp_path / "out"
+        digests = []
+        peak = traced_peak(lambda: digests.append(write(data, path)))
+        assert digests == [hashlib.sha256(path.read_bytes()).hexdigest()]
         assert peak < STREAM_PEAK_BYTES
-
-    def test_indicator_csv(self, tmp_path):
-        imap = masked_map(100, 100)
-        peak = traced_peak(lambda: inversion.write_indicator_csv(imap, tmp_path / "i.csv"))
-        assert peak < STREAM_PEAK_BYTES
-
-    def test_output_digest_is_streamed(self, tmp_path):
-        data = np.random.default_rng(0).bytes(2 * 1024 * 1024)
-        path = tmp_path / "out.bin"
-        path.write_bytes(data)
-        assert pipeline._sha256(path) == hashlib.sha256(data).hexdigest()
-        del data
-        assert traced_peak(lambda: pipeline._sha256(path)) < STREAM_PEAK_BYTES
