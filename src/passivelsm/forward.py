@@ -118,26 +118,22 @@ class SingleLayerSystem:
 
     The matrix acts on node charges; it is symmetric because the kernel
     phi(x, y) is.  An empty boundary list yields the trivial system of a
-    free medium, with lu None.  The system also keeps the receiver
-    responses of the KEPT_RESPONSES point sets `scattered` used last.
+    free medium, with lu None; `nodes` holds every boundary's nodes in one
+    read-only array.  The system also keeps the receiver responses of the
+    KEPT_RESPONSES point sets `scattered` used last.
     """
 
     boundaries: tuple
     ctx: WaveContext
     lu: object
     condition_estimate: float
+    nodes: np.ndarray
     # (shape, bytes) of a point set -> its _response, least recently used first
     _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def nodes(self) -> np.ndarray:
-        if not self.boundaries:
-            return np.zeros((0, 2))
-        return np.concatenate([b.nodes for b in self.boundaries])
-
-    @property
     def size(self) -> int:
-        return sum(b.n for b in self.boundaries)
+        return len(self.nodes)
 
     def scattered(self, points, sources) -> np.ndarray:
         """u_s at every point for every source, shape (P, S); a bad point
@@ -213,7 +209,9 @@ def assemble_single_layer(
     else:
         cond, lu = 1.0, None
     logger.debug("assembled single-layer system: n=%d cond=%.3e", ntot, cond)
-    system = SingleLayerSystem(boundaries=boundaries, ctx=ctx, lu=lu, condition_estimate=cond)
+    nodes = np.concatenate([b.nodes for b in boundaries]) if boundaries else np.empty((0, 2))
+    nodes.flags.writeable = False
+    system = SingleLayerSystem(boundaries, ctx, lu, cond, nodes)
     warn_if_resonant(system)
     return system
 

@@ -245,7 +245,11 @@ class PointSet:
 
 
 def _points_from_angles(radius, span, theta, role, beta, seed):
-    pts = radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    """The PointSet at angles theta: 16 B per point, built beside theta's 8."""
+    pts = np.empty((len(theta), 2))
+    np.cos(theta, out=pts[:, 0])
+    np.sin(theta, out=pts[:, 1])
+    pts *= radius
     pts.flags.writeable = False
     return PointSet(points=pts, role=role, radius=float(radius), span=float(span),
                     beta=beta, seed=int(seed))
@@ -296,10 +300,12 @@ def circle_points(
     theta_min, span = _layout_span(radius, count, arc)
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
-    offsets = np.zeros(count)
+    # built in place: at most two count-long float arrays exist at once
+    theta = np.arange(count, dtype=float)
     if beta > 0.0:
-        offsets = substream(seed, "circle-points").uniform(0.0, beta, count)
-    theta = theta_min + (span / count) * (np.arange(count) + offsets)
+        theta += substream(seed, "circle-points").uniform(0.0, beta, count)
+    theta *= span / count
+    theta += theta_min
     return _points_from_angles(radius, span, theta, role, float(beta), seed)
 
 
@@ -316,7 +322,7 @@ def circle_points_uniform(
     built on it converges at the Monte Carlo rate 1/sqrt(count).
     """
     theta_min, span = _layout_span(radius, count, arc)
-    theta = theta_min + span * substream(seed, "circle-points-uniform").uniform(
-        0.0, 1.0, count
-    )
+    theta = substream(seed, "circle-points-uniform").uniform(0.0, 1.0, count)
+    theta *= span
+    theta += theta_min
     return _points_from_angles(radius, span, theta, role, None, seed)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -225,19 +226,21 @@ class IndicatorMap:
     reciprocal visual indicator are derived.
 
     Cells that were not probed successfully inside the mask radius carry
-    value 0.
+    value 0.  The mask and the reciprocal are made on first read and kept read-only.
     """
 
     grid: GridSpec
     values: np.ndarray
     morozov: MorozovStats
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
         """The cells probed successfully: values > 0."""
-        return self.values > 0
+        mask = self.values > 0
+        mask.flags.writeable = False
+        return mask
 
-    @property
+    @cached_property
     def reciprocal(self) -> np.ndarray:
         """1/values min-max normalized over the mask, 0 elsewhere."""
         reciprocal = np.zeros(self.values.shape)
@@ -246,6 +249,7 @@ class IndicatorMap:
             rec = 1.0 / self.values[valid]
             lo, hi = float(rec.min()), float(rec.max())
             reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
+        reciprocal.flags.writeable = False
         return reciprocal
 
 
@@ -286,11 +290,10 @@ def indicator_map(
             f"delta = {delta:.3g} with sigma_max = {smax:.3g} overflows Morozov's discrepancy "
             "arithmetic: (delta sigma_max + sigma_max^2)^2 is beyond double range")
     pts = grid.points()
-    inside = (pts ** 2).sum(axis=1) <= mask_radius ** 2
+    probe = (pts ** 2).sum(axis=1) <= mask_radius ** 2
     # exclude probe points that collide with a receiver
-    probe = inside.copy()
-    probe[inside] = (scipy.spatial.cKDTree(receivers.points).query(pts[inside])[0]
-                     > SINGULARITY_FACTOR * ctx.wavelength)
+    probe[probe] = (scipy.spatial.cKDTree(receivers.points).query(pts[probe])[0]
+                    > SINGULARITY_FACTOR * ctx.wavelength)
     zs = pts[probe]
     alpha, gnorm = np.empty(len(zs)), np.empty(len(zs))
     passes = 0
@@ -356,9 +359,9 @@ def write_indicator_raw_csv(imap: IndicatorMap, path) -> str:
 def write_indicator_pgm(imap: IndicatorMap, path) -> str:
     """8-bit binary PGM of the reciprocal indicator, rows top to bottom;
     returns the hex SHA-256 of the bytes written."""
-    img = np.round(255.0 * np.clip(imap.reciprocal, 0.0, 1.0)).astype(np.uint8)
-    img[~imap.mask] = 0
+    img = 255.0 * imap.reciprocal   # the reciprocal lies in [0, 1], 0 off the mask
+    np.round(img, out=img)
     # values[ix, iy] -> image row = top-to-bottom in y, column = x
-    raster = img.T[::-1, :]
+    raster = img.astype(np.uint8).T[::-1, :]
     header = f"P5\n{imap.grid.nx} {imap.grid.ny}\n255\n".encode("ascii")
     return _write_blocks(path, (header, raster.tobytes()))

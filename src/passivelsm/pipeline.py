@@ -51,12 +51,14 @@ VERSION = "0.1.0"
 # wavelength of perimeter for the smooth shapes supported here.
 MIN_NODES_PER_WAVELENGTH = 48
 
-# The bytes each size-proportional term of a run may reach: a source keeps
-# its point, 16 B (a covariance also 16 J B of its J x L field), and the
+# The bytes each size-proportional term of a run may reach: building a
+# source layout peaks at 24 B per source, above the 16 B of the point it
+# keeps (a covariance keeps 16 J B per source, its J x L field), and the
 # probe grid peaks below 56 B per cell (README, Memory).  A larger
 # sources.count or grid is refused by key in [geometry], before it is built.
 MEMORY_BUDGET = 2 ** 30
-SOURCE_BYTES = 16
+SOURCE_BYTES = 24
+FIELD_BYTES = 16
 GRID_CELL_BYTES = 56
 
 OUTPUT_FILES = ("matrix.csv", "indicator.csv", "indicator_raw.csv", "indicator.pgm")
@@ -433,7 +435,7 @@ def execute(config: ExperimentConfig) -> RunArtifacts:
             key, per_source = f"sources.count = {cfg.source_count}", SOURCE_BYTES
             if cfg.matrix_kind == acquisition.COVARIANCE:   # its J x L field
                 key += f" with receivers.count = {cfg.receiver_count}"
-                per_source *= cfg.receiver_count
+                per_source = max(per_source, FIELD_BYTES * cfg.receiver_count)
             if cfg.source_count * per_source > MEMORY_BUDGET:
                 raise ValueError(
                     f"{key}: {cfg.source_count * per_source / 2 ** 30:.3g} GiB at "

@@ -11,8 +11,10 @@ explicit formulas of the scatterer curves, the elementwise
 broadcast formula of the Green's function, the Kress self block as it
 was assembled from separate j0 and y0 arrays, the scattered field summed
 into one zero array by masked read-modify-write, the point-scatterer
-coefficients from green2d at a rim point, and the indicator mask and
-reciprocal as indicator_map built them from the flat values.
+coefficients from green2d at a rim point, the indicator mask and
+reciprocal as indicator_map built them from the flat values, the
+cell-by-cell peak search validate used, and the receiver and source
+layouts as one whole-array expression.
 Expected values frozen in the tests were produced by these routines.
 """
 
@@ -239,6 +241,46 @@ def mask_and_reciprocal_flat(values: np.ndarray):
         lo, hi = float(rec.min()), float(rec.max())
         reciprocal[valid] = (rec - lo) / (hi - lo) if hi > lo else 0.0
     return valid.reshape(values.shape), reciprocal.reshape(values.shape)
+
+
+def local_max_near_loop(imap, point, cells: float = 1.0) -> bool:
+    """Whether the reciprocal has an 8-neighbor local maximum at an
+    interior cell within cells * grid.cell of point, searched over the
+    +-ceil(cells) index window about the nearest grid node: a cell-by-cell
+    loop, which finds every such cell only when the x and y steps are
+    equal."""
+    xs, ys = imap.grid.axes()
+    rec = imap.reciprocal
+    ix = int(np.argmin(np.abs(xs - point[0])))
+    iy = int(np.argmin(np.abs(ys - point[1])))
+    reach = int(math.ceil(cells))
+    for di in range(-reach, reach + 1):
+        for dj in range(-reach, reach + 1):
+            i, j = ix + di, iy + dj
+            if not (1 <= i < imap.grid.nx - 1 and 1 <= j < imap.grid.ny - 1):
+                continue
+            if np.hypot(xs[i] - point[0], ys[j] - point[1]) > cells * imap.grid.cell + 1e-12:
+                continue
+            patch = rec[i - 1 : i + 2, j - 1 : j + 2]
+            if rec[i, j] > 0 and rec[i, j] >= patch.max() - 1e-15:
+                return True
+    return False
+
+
+def circle_layout_expression(radius, count, beta=0.0, seed=0, arc=None, uniform=False):
+    """The layout points as one expression of whole-array temporaries:
+    theta_min + step * (j + beta_j), or theta_min + span * u_j for uniform
+    angles, then radius * (cos, sin) stacked."""
+    theta_min, span = (0.0, 2.0 * np.pi) if arc is None else (arc[0], arc[1] - arc[0])
+    if uniform:
+        theta = theta_min + span * substream(seed, "circle-points-uniform").uniform(
+            0.0, 1.0, count)
+    else:
+        offsets = np.zeros(count)
+        if beta > 0.0:
+            offsets = substream(seed, "circle-points").uniform(0.0, beta, count)
+        theta = theta_min + (span / count) * (np.arange(count) + offsets)
+    return radius * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def kress_weights_cosine_sum(n: int) -> np.ndarray:

@@ -82,6 +82,10 @@ class TestAssembly:
         system = assemble_single_layer([discretize(c, n) for c in curves], ctx)
         lu, piv = scipy.linalg.lu_factor(system_matrix(system))
         assert system.size == n * len(curves)
+        # one read-only array of every boundary's nodes, made at assembly
+        assert system.nodes is system.nodes and not system.nodes.flags.writeable
+        np.testing.assert_array_equal(system.nodes,
+                                      np.vstack([b.nodes for b in system.boundaries]))
         assert system.lu[0].tobytes() == lu.tobytes()
         np.testing.assert_array_equal(system.lu[1], piv)
 
@@ -175,7 +179,7 @@ class TestAssembly:
 
     def test_empty_system(self, ctx):
         system = assemble_single_layer((), ctx)
-        assert system.size == 0
+        assert system.size == 0 and system.nodes.shape == (0, 2)
         assert total_field_matrix(system, (1.0, 0.0), (3.0, 0.0))[0, 0] == pytest.approx(
             green2d(ctx, (1.0, 0.0), (3.0, 0.0))[0, 0]
         )

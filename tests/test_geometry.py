@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from passivelsm.specfun import WaveContext
 from oracles import (
     KITE_BOX_MIDDLE,
     canonical_kite,
+    circle_layout_expression,
     contains_by_unit_normal,
     outward_unit_normals,
     placed_curve,
@@ -236,6 +238,42 @@ class TestUniformPoints:
         np.testing.assert_allclose(
             np.sqrt((a.points ** 2).sum(axis=1)), 3.0, atol=1e-10
         )
+
+
+class TestLayoutBuild:
+    """The layouts are built in place, bitwise as the whole-array expression."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(radius=5.0, count=80),
+        dict(radius=50.0, count=1000, beta=0.3, seed=4),
+        dict(radius=2.0, count=777, beta=0.9, seed=1, arc=(0.3, 2.9)),
+        dict(radius=50.0, count=40000, beta=0.1, seed=9),
+        dict(radius=3.0, count=50, seed=11, uniform=True),
+        dict(radius=7.0, count=40001, seed=2, arc=(-1.0, 2.0), uniform=True),
+    ], ids=["equispaced", "perturbed", "arc", "40000", "uniform", "uniform-arc"])
+    def test_points_equal_the_whole_array_expression(self, kwargs):
+        kwargs = dict(kwargs)
+        layout = circle_points_uniform if kwargs.pop("uniform", False) else circle_points
+        expected = circle_layout_expression(uniform=layout is circle_points_uniform, **kwargs)
+        assert layout(**kwargs).points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", [
+        lambda count: circle_points(50.0, count, beta=0.1, seed=1),
+        lambda count: circle_points(50.0, count),
+        lambda count: circle_points_uniform(50.0, count, seed=1),
+    ], ids=["perturbed", "equispaced", "uniform"])
+    def test_build_peaks_at_24_bytes_per_source(self, layout):
+        # the angles (8 B) beside the points (16 B) or a draw (8 B)
+        count = 200000
+        layout(count)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            layout(count)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= pipeline.SOURCE_BYTES * count + 16384
 
 
 @pytest.mark.parametrize("layout", [

@@ -379,6 +379,9 @@ class TestIndicatorMap:
         mask, reciprocal = mask_and_reciprocal_flat(values)
         np.testing.assert_array_equal(imap.mask, mask)
         assert imap.reciprocal.tobytes() == reciprocal.tobytes()
+        # made once, on first read, and shared read-only by every reader
+        assert imap.mask is imap.mask and imap.reciprocal is imap.reciprocal
+        assert not (imap.mask.flags.writeable or imap.reciprocal.flags.writeable)
 
     def test_map_retains_only_its_values(self):
         # 8 B per cell of values; the grid and the Morozov stats are O(1)

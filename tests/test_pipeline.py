@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -203,6 +204,15 @@ NUMERIC_KEYS = [key for f, key in SCHEMA_KEYS
                 if f.default is None or isinstance(f.default, (int, float))
                 or len(f.metadata["ini"][1]) == 2]
 STAGES = {"config", "geometry", "assemble", "acquire", "noise", "invert"}
+# magnitudes far outside any scene, for each float key (a coordinate pair's
+# part included) and each integer key; the arc ends are left out, since a
+# lone arc end is refused as config
+FLOAT_MAGNITUDES = ["1e300", "-1e300", "1e15", "1e-15", "1e-300"]
+INTEGER_MAGNITUDES = ["-1", "1000000000", "2147483648", "1000000000000000"]
+MAGNITUDE_SWEEP = [
+    (key, value) for f, key in SCHEMA_KEYS if key in NUMERIC_KEYS and f.default is not None
+    for value in (INTEGER_MAGNITUDES if isinstance(f.default, int) else FLOAT_MAGNITUDES)]
+MAGNITUDE_CASE_SECONDS = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +249,21 @@ class TestConfigSchema:
             pipeline.execute(ExperimentConfig.from_ini(tiny_ini, [(key, value)]))
         except PipelineError as err:
             assert err.stage in STAGES
+
+    @pytest.mark.parametrize("key, value", MAGNITUDE_SWEEP)
+    def test_extreme_magnitude_runs_or_fails_with_a_stage_quietly(self, tiny_ini, key,
+                                                                   value):
+        # a warning is recorded, not raised: raised, a stage would tag it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t0 = time.perf_counter()
+            try:
+                pipeline.execute(ExperimentConfig.from_ini(tiny_ini, [(key, value)]))
+            except PipelineError as err:
+                assert err.stage in STAGES
+            seconds = time.perf_counter() - t0
+        assert [str(w.message) for w in caught] == []
+        assert seconds < MAGNITUDE_CASE_SECONDS
 
 
 class TestExecute:
@@ -482,19 +507,21 @@ class TestExecute:
                 pipeline.execute(cfg)
         assert err.value.stage == "geometry"
 
-    # a source keeps 16 B, and a covariance 16 J B more: the largest count
-    # within MEMORY_BUDGET is built, one more is refused before it is
-    @pytest.mark.parametrize("kind, receivers", [(acquisition.CROSS_CORRELATION, 12),
-                                                 (acquisition.COVARIANCE, 200)])
+    # building a layout peaks at 24 B per source, and a covariance keeps
+    # 16 J B per source: the largest count within MEMORY_BUDGET is built,
+    # one more is refused before it is
+    @pytest.mark.parametrize("kind, receivers, per_source, cap", [
+        (acquisition.CROSS_CORRELATION, 12, 24, 44739242),
+        (acquisition.COVARIANCE, 200, 3200, 335544),
+        (acquisition.COVARIANCE, 1, 24, 44739242),
+    ], ids=["cross-correlation-12", "covariance-200", "covariance-1"])
     def test_source_count_over_the_memory_budget_fails_in_geometry_stage_by_name(
-            self, monkeypatch, kind, receivers):
+            self, monkeypatch, kind, receivers, per_source, cap):
         def build(cfg):
             raise ValueError(f"building {cfg.source_count} sources")
 
         monkeypatch.setattr(pipeline, "_build_sources", build)
-        per_source = pipeline.SOURCE_BYTES * (
-            receivers if kind == acquisition.COVARIANCE else 1)
-        cap = pipeline.MEMORY_BUDGET // per_source
+        assert cap == pipeline.MEMORY_BUDGET // per_source
         cfg = tiny_config(matrix_kind=kind, receiver_count=receivers, source_count=cap)
         with pytest.raises(PipelineError, match=f"building {cap} sources"):
             pipeline.execute(cfg)
